@@ -1,6 +1,8 @@
-(* TCP serving front-end: acceptor + per-connection reader/workers/writer
-   multiplexing pipelined binary frames onto the shard mailboxes, plus an
-   optional memcached-text listener.  See server.mli and DESIGN.md §13. *)
+(* TCP serving front-end: an acceptor per listener and two threads per
+   binary connection — a reader that decodes frames, answers reads inline
+   and posts mutations to the shard mailboxes, and a writer that sends
+   the shard workers' completions — plus an optional memcached-text
+   listener.  See server.mli and DESIGN.md §13. *)
 
 module Sh = Hyperion_shard
 module E = Hyperion.Hyperion_error
@@ -9,28 +11,17 @@ type config = {
   host : string;
   port : int;
   memcached_port : int option;
-  workers_per_conn : int;
   max_connections : int;
 }
 
 let default_config =
-  {
-    host = "127.0.0.1";
-    port = 7791;
-    memcached_port = None;
-    workers_per_conn = 4;
-    max_connections = 1024;
-  }
+  { host = "127.0.0.1"; port = 7791; memcached_port = None; max_connections = 1024 }
 
 (* ---- telemetry ------------------------------------------------------- *)
 
 let g_conns =
   Telemetry.Gauge.make "hyperion_net_connections"
     ~help:"Open client connections (binary + memcached listeners)"
-
-let g_inflight =
-  Telemetry.Gauge.make "hyperion_net_inflight"
-    ~help:"Requests queued to or executing on connection op workers"
 
 let c_proto_errors =
   Telemetry.Counter.make "hyperion_net_protocol_errors_total"
@@ -50,77 +41,19 @@ let h_latency =
   Array.map
     (fun op ->
       Telemetry.Histogram.make "hyperion_net_server_latency_ns"
-        ~help:"Server-side latency from frame decode to response enqueue"
+        ~help:"Server-side latency from frame decode to response enqueue/write"
         ~labels:[ ("op", op) ])
     op_names
 
 (* opcode (1-based on the wire) -> metric index *)
 let metric_ix req = Frame.opcode req - 1
 
-let inflight = Atomic.make 0
-
-let inflight_add d =
-  let v = Atomic.fetch_and_add inflight d + d in
-  if Telemetry.enabled () then Telemetry.Gauge.set g_inflight v
-
-(* ---- blocking queue -------------------------------------------------- *)
-
-module Bq = struct
-  type 'a t = {
-    m : Mutex.t;
-    c : Condition.t;
-    q : 'a Queue.t;
-    mutable closed : bool; [@guarded_by m]
-  }
-
-  let create () =
-    { m = Mutex.create (); c = Condition.create (); q = Queue.create ();
-      closed = false }
-
-  let push t v =
-    Mutex.lock t.m;
-    let accepted = not t.closed in
-    if accepted then begin
-      Queue.push v t.q;
-      Condition.signal t.c
-    end;
-    Mutex.unlock t.m;
-    accepted
-
-  let close t =
-    Mutex.lock t.m;
-    t.closed <- true;
-    Condition.broadcast t.c;
-    Mutex.unlock t.m
-
-  (* Blocks until an element is available or the queue is closed and
-     drained; [None] means no element will ever come. *)
-  let pop t =
-    Mutex.lock t.m;
-    let rec wait () =
-      match Queue.take_opt t.q with
-      | Some v ->
-          Mutex.unlock t.m;
-          Some v
-      | None ->
-          if t.closed then begin
-            Mutex.unlock t.m;
-            None
-          end
-          else begin
-            Condition.wait t.c t.m;
-            wait ()
-          end
-    in
-    wait ()
-end
-
 (* ---- sockets --------------------------------------------------------- *)
 
-let rec write_all fd b off len =
+let rec write_all fd s off len =
   if len > 0 then begin
-    let n = Unix.write fd b off len in
-    write_all fd b (off + n) (len - n)
+    let n = Unix.write_substring fd s off len in
+    write_all fd s (off + n) (len - n)
   end
 
 let quiet_close fd =
@@ -133,11 +66,17 @@ let quiet_shutdown fd =
   | () -> ()
   | exception Unix.Unix_error (err, _, _) -> ignore err
 
+(* Responses are small and latency-bound: Nagle would hold each one back
+   until the peer's delayed ACK of the previous one. *)
+let set_nodelay fd =
+  match Unix.setsockopt fd Unix.TCP_NODELAY true with
+  | () -> ()
+  | exception Unix.Unix_error (err, _, _) -> ignore err
+
 (* ---- request execution ----------------------------------------------- *)
 
-let of_result = function
-  | Ok () -> Frame.Ack
-  | Error e -> Frame.Err (Frame.err_of_hyperion e, E.to_string e)
+let err_of e = Frame.Err (Frame.err_of_hyperion e, E.to_string e)
+let of_result = function Ok () -> Frame.Ack | Error e -> err_of e
 
 let bad_key k =
   if k = "" then Some (Frame.Err (Frame.E_empty_key, "empty key"))
@@ -149,102 +88,91 @@ let bad_key k =
              Frame.max_key_len ))
   else None
 
-let exec store (req : Frame.request) : Frame.response =
-  match req with
-  | Put (k, v) -> (
-      match bad_key k with
-      | Some e -> e
-      | None -> of_result (Sh.put_result store k v))
-  | Add k -> (
-      match bad_key k with
-      | Some e -> e
-      | None -> of_result (Sh.add_result store k))
-  | Delete k -> (
-      match bad_key k with
-      | Some e -> e
-      | None -> (
-          match Sh.delete_result store k with
-          | Ok existed -> Frame.Found existed
-          | Error e -> Frame.Err (Frame.err_of_hyperion e, E.to_string e)))
-  | Get k -> (
-      match bad_key k with
-      | Some e -> e
-      | None -> Frame.Value (Sh.get store k))
-  | Mem k -> (
-      match bad_key k with
-      | Some e -> e
-      | None -> Frame.Found (Sh.mem store k))
-  | Batch ops -> (
-      let bad =
+let stats store =
+  let keys, bytes, saturated =
+    Sh.with_quiesced store (fun stores ->
         Array.fold_left
-          (fun acc op ->
-            match acc with
-            | Some _ -> acc
-            | None -> (
-                match op with
-                | Frame.Bput (k, _) | Frame.Badd k | Frame.Bdel k -> bad_key k))
-          None ops
-      in
-      match bad with
-      | Some e -> e
+          (fun (k, b, s) st ->
+            ( k + Hyperion.Store.length st,
+              b + Hyperion.Store.memory_usage st,
+              s + Hyperion.Store.saturated_arenas st ))
+          (0, 0, 0) stores)
+  in
+  Frame.Stats_r
+    {
+      st_keys = Int64.of_int keys;
+      st_resident_bytes = Int64.of_int bytes;
+      st_shards = Sh.shards store;
+      st_saturated_arenas = saturated;
+    }
+
+let health store =
+  Frame.Health_r
+    (Array.of_list
+       (List.map
+          (fun h ->
+            {
+              Frame.sh_shard = h.Sh.hs_shard;
+              sh_alive = h.Sh.hs_alive;
+              sh_degraded = h.Sh.hs_degraded <> None;
+              sh_backlog = h.Sh.hs_backlog;
+            })
+          (Sh.health store)))
+
+(* Answers [req] through [k], exactly once.  Reads and the rare
+   quiescing Stats/Health run here, on the calling thread; mutations are
+   posted to their shard mailbox(es) and answered from the completing
+   shard worker's domain (or here, when they fail before reaching one). *)
+let run store (req : Frame.request) k =
+  let inline f =
+    k
+      (match f () with
+      | resp -> resp
+      | exception E.Error e -> err_of e
+      | exception Invalid_argument msg -> Frame.Err (Frame.E_bad_request, msg)
+      | exception exn -> Frame.Err (Frame.E_internal, Printexc.to_string exn))
+  in
+  let with_key key f = match bad_key key with Some e -> k e | None -> f () in
+  match req with
+  | Get key -> with_key key (fun () -> inline (fun () -> Frame.Value (Sh.get store key)))
+  | Mem key -> with_key key (fun () -> inline (fun () -> Frame.Found (Sh.mem store key)))
+  | Stats -> inline (fun () -> stats store)
+  | Health -> inline (fun () -> health store)
+  | Put (key, v) ->
+      with_key key (fun () -> Sh.put_async store key v (fun r -> k (of_result r)))
+  | Add key -> with_key key (fun () -> Sh.add_async store key (fun r -> k (of_result r)))
+  | Delete key ->
+      with_key key (fun () ->
+          Sh.delete_async store key (function
+            | Ok existed -> k (Frame.Found existed)
+            | Error e -> k (err_of e)))
+  | Batch ops -> (
+      let op_key = function Frame.Bput (key, _) | Frame.Badd key | Frame.Bdel key -> key in
+      match Array.find_map (fun op -> bad_key (op_key op)) ops with
+      | Some e -> k e
       | None ->
           let b = Sh.Batch.create store in
           Array.iter
-            (fun op ->
-              match op with
-              | Frame.Bput (k, v) -> Sh.Batch.put b k v
-              | Frame.Badd k -> Sh.Batch.add b k
-              | Frame.Bdel k -> Sh.Batch.delete b k)
+            (function
+              | Frame.Bput (key, v) -> Sh.Batch.put b key v
+              | Frame.Badd key -> Sh.Batch.add b key
+              | Frame.Bdel key -> Sh.Batch.delete b key)
             ops;
-          (match Sh.Batch.flush b with
-          | Ok n -> Frame.Applied n
-          | Error e -> Frame.Err (Frame.err_of_hyperion e, E.to_string e)))
-  | Stats ->
-      let keys, bytes, saturated =
-        Sh.with_quiesced store (fun stores ->
-            Array.fold_left
-              (fun (k, b, s) st ->
-                ( k + Hyperion.Store.length st,
-                  b + Hyperion.Store.memory_usage st,
-                  s + Hyperion.Store.saturated_arenas st ))
-              (0, 0, 0) stores)
-      in
-      Frame.Stats_r
-        {
-          st_keys = Int64.of_int keys;
-          st_resident_bytes = Int64.of_int bytes;
-          st_shards = Sh.shards store;
-          st_saturated_arenas = saturated;
-        }
-  | Health ->
-      Frame.Health_r
-        (Array.of_list
-           (List.map
-              (fun h ->
-                {
-                  Frame.sh_shard = h.Sh.hs_shard;
-                  sh_alive = h.Sh.hs_alive;
-                  sh_degraded = h.Sh.hs_degraded <> None;
-                  sh_backlog = h.Sh.hs_backlog;
-                })
-              (Sh.health store)))
-
-let exec_safe store req =
-  match exec store req with
-  | resp -> resp
-  | exception E.Error e ->
-      Frame.Err (Frame.err_of_hyperion e, E.to_string e)
-  | exception Invalid_argument msg -> Frame.Err (Frame.E_bad_request, msg)
-  | exception exn -> Frame.Err (Frame.E_internal, Printexc.to_string exn)
+          Sh.Batch.flush_async b (function
+            | Ok n -> k (Frame.Applied n)
+            | Error e -> k (err_of e)))
 
 (* ---- connections ----------------------------------------------------- *)
 
 type conn = {
   fd : Unix.file_descr;
-  work : (int * int * Frame.request) Bq.t;  (* id, t0_ns, request *)
-  out : string Bq.t;  (* encoded response frames *)
-  wm : Mutex.t;
-  mutable live_workers : int; [@guarded_by wm]
+  wm : Mutex.t;  (* the fd mutex: one response burst on the wire at a time *)
+  mutable broken : bool; [@guarded_by wm]  (* a write failed: peer gone *)
+  om : Mutex.t;
+  oc : Condition.t;  (* [out] gained bytes, or the connection may be done *)
+  mutable out : Buffer.t; [@guarded_by om]  (* completions for the writer *)
+  mutable posted : int; [@guarded_by om]  (* mutations not yet completed *)
+  mutable reading : bool; [@guarded_by om]  (* the reader may still post *)
 }
 
 type t = {
@@ -255,7 +183,7 @@ type t = {
   mc_sock : Unix.file_descr option;
   mc_port : int option;
   sm : Mutex.t;
-  conns : (int, conn * Thread.t list) Hashtbl.t;
+  conns : (int, Unix.file_descr * Thread.t list) Hashtbl.t;
   mutable next_conn : int; [@guarded_by sm]
   mutable stopping : bool; [@guarded_by sm]
   mutable acceptors : Thread.t list;
@@ -265,11 +193,6 @@ type t = {
 let set_conn_gauge t =
   if Telemetry.enabled () then
     Telemetry.Gauge.set g_conns (Hashtbl.length t.conns)
-
-let respond conn ~id resp =
-  let b = Buffer.create 64 in
-  Frame.encode_response b ~id resp;
-  ignore (Bq.push conn.out (Buffer.contents b))
 
 let observe_latency req t0 =
   if Telemetry.enabled () && t0 >= 0 then
@@ -283,47 +206,60 @@ let count_request req =
 let count_proto_error () =
   if Telemetry.enabled () then Telemetry.Counter.incr c_proto_errors
 
-(* Op worker: drain the connection's work queue through the store. *)
-let worker_loop t conn =
-  let rec loop () =
-    match Bq.pop conn.work with
-    | None -> ()
-    | Some (id, t0, req) ->
-        let resp = exec_safe t.store req in
-        observe_latency req t0;
-        respond conn ~id resp;
-        inflight_add (-1);
-        loop ()
-  in
-  loop ();
-  (* the last worker out seals the response queue so the writer can
-     finish its drain and close the socket *)
+(* One write(2) burst under the fd mutex; once a write fails the peer is
+   gone and later bursts are dropped. *)
+let send conn s =
   Mutex.lock conn.wm;
-  conn.live_workers <- conn.live_workers - 1;
-  let last = conn.live_workers = 0 in
-  Mutex.unlock conn.wm;
-  if last then Bq.close conn.out
+  (if not conn.broken then
+     match write_all conn.fd s 0 (String.length s) with
+     | () -> ()
+     | exception Unix.Unix_error (err, _, _) ->
+         ignore err;
+         conn.broken <- true);
+  Mutex.unlock conn.wm
 
+let post conn =
+  Mutex.lock conn.om;
+  conn.posted <- conn.posted + 1;
+  Mutex.unlock conn.om
+
+(* A mutation's completion, usually on a shard worker's domain: encode
+   the response into the out buffer and wake the writer. *)
+let complete conn ~id req t0 resp =
+  Mutex.lock conn.om;
+  Frame.encode_response conn.out ~id resp;
+  conn.posted <- conn.posted - 1;
+  Condition.signal conn.oc;
+  Mutex.unlock conn.om;
+  observe_latency req t0
+
+let end_reading conn =
+  Mutex.lock conn.om;
+  conn.reading <- false;
+  Condition.signal conn.oc;
+  Mutex.unlock conn.om
+
+(* Takes everything completed since its last wakeup and sends it as one
+   write; exits once the reader is done and no completion is owed. *)
 let writer_loop conn =
+  let spare = ref (Buffer.create 4096) in
   let rec loop () =
-    match Bq.pop conn.out with
-    | None -> ()
-    | Some frame ->
-        (* SAFETY: Bytes.unsafe_of_string aliases an immutable string that
-           write(2) only reads; the bytes are never mutated. *)
-        (match write_all conn.fd (Bytes.unsafe_of_string frame) 0
-                 (String.length frame)
-         with
-        | () -> ()
-        | exception Unix.Unix_error (err, _, _) ->
-            (* peer gone: discard the rest of the queue but keep popping so
-               workers never block on a full ... (queue is unbounded; this
-               just drains promptly) *)
-            ignore err);
-        loop ()
+    Mutex.lock conn.om;
+    while Buffer.length conn.out = 0 && (conn.reading || conn.posted > 0) do
+      Condition.wait conn.oc conn.om
+    done;
+    let full = conn.out in
+    if Buffer.length full = 0 then Mutex.unlock conn.om
+    else begin
+      conn.out <- !spare;
+      Mutex.unlock conn.om;
+      send conn (Buffer.contents full);
+      Buffer.clear full;
+      spare := full;
+      loop ()
+    end
   in
-  loop ();
-  quiet_close conn.fd
+  loop ()
 
 (* Cap on reads drained into one batched descent: bounds the latency of
    the first response in a burst and the scratch arrays below. *)
@@ -333,9 +269,21 @@ let reader_loop t conn =
   let buf = Bytes.create 65536 in
   let dec = Frame.Decoder.create () in
   let stop = ref false in
+  (* Inline responses of one decode pass, sent as one write at its end. *)
+  let replies = Buffer.create 4096 in
+  let reply ~id req t0 resp =
+    Frame.encode_response replies ~id resp;
+    observe_latency req t0
+  in
+  let write_replies () =
+    if Buffer.length replies > 0 then begin
+      send conn (Buffer.contents replies);
+      Buffer.clear replies
+    end
+  in
   (* Consecutive pipelined Get/Mem frames accumulate here (newest first)
      and flush through one batched store descent at batch boundaries: a
-     mutation frame, the decode buffer running dry, burst cap, corruption
+     non-read frame, the decode buffer running dry, burst cap, corruption
      or EOF. *)
   let pending = ref [] in
   let npending = ref 0 in
@@ -362,13 +310,13 @@ let reader_loop t conn =
               | None -> mems := (i, k) :: !mems)
           | _ -> resps.(i) <- Frame.Err (Frame.E_internal, "non-read batched"))
         frames;
-      let scatter group run =
+      let scatter group batch =
         match List.rev group with
         | [] -> ()
         | l -> (
             let idx = Array.of_list (List.map fst l) in
             let keys = Array.of_list (List.map snd l) in
-            match run keys with
+            match batch keys with
             | rs -> Array.iteri (fun j r -> resps.(idx.(j)) <- r) rs
             | exception (E.Error _ | Invalid_argument _) ->
                 (* one failing batch must not fail the whole burst: re-run
@@ -377,7 +325,7 @@ let reader_loop t conn =
                 Array.iter
                   (fun i ->
                     let _, _, req = frames.(i) in
-                    resps.(i) <- exec_safe t.store req)
+                    run t.store req (fun r -> resps.(i) <- r))
                   idx
             | exception exn ->
                 let msg = Printexc.to_string exn in
@@ -389,11 +337,7 @@ let reader_loop t conn =
           Array.map (fun v -> Frame.Value v) (Sh.get_many t.store keys));
       scatter !mems (fun keys ->
           Array.map (fun b -> Frame.Found b) (Sh.mem_many t.store keys));
-      Array.iteri
-        (fun i (id, t0, req) ->
-          observe_latency req t0;
-          respond conn ~id resps.(i))
-        frames
+      Array.iteri (fun i (id, t0, req) -> reply ~id req t0 resps.(i)) frames
     end
   in
   let handle_frame id tag payload =
@@ -401,7 +345,7 @@ let reader_loop t conn =
     | Error msg ->
         count_proto_error ();
         flush_reads ();
-        respond conn ~id (Frame.Err (Frame.E_bad_request, msg))
+        Frame.encode_response replies ~id (Frame.Err (Frame.E_bad_request, msg))
     | Ok req -> (
         count_request req;
         let t0 = if Telemetry.enabled () then Telemetry.now_ns () else -1 in
@@ -413,26 +357,28 @@ let reader_loop t conn =
             pending := (id, t0, req) :: !pending;
             incr npending;
             if !npending >= max_read_burst then flush_reads ()
-        | _ ->
+        | Frame.Stats | Frame.Health ->
             flush_reads ();
-            inflight_add 1;
-            if not (Bq.push conn.work (id, t0, req)) then inflight_add (-1))
+            run t.store req (reply ~id req t0)
+        | Frame.Put _ | Frame.Add _ | Frame.Delete _ | Frame.Batch _ ->
+            flush_reads ();
+            post conn;
+            run t.store req (complete conn ~id req t0))
   in
   let drain_frames () =
     let continue = ref true in
     while !continue do
       match Frame.Decoder.next dec with
       | Frame.Frame (id, tag, payload) -> handle_frame id tag payload
-      | Frame.Need_more ->
-          flush_reads ();
-          continue := false
+      | Frame.Need_more -> continue := false
       | Frame.Corrupt msg ->
           count_proto_error ();
-          flush_reads ();
-          respond conn ~id:0 (Frame.Err (Frame.E_too_large, msg));
+          Frame.encode_response replies ~id:0 (Frame.Err (Frame.E_too_large, msg));
           stop := true;
           continue := false
-    done
+    done;
+    flush_reads ();
+    write_replies ()
   in
   while not !stop do
     match Unix.read conn.fd buf 0 (Bytes.length buf) with
@@ -444,13 +390,14 @@ let reader_loop t conn =
     | exception Unix.Unix_error (err, _, _) ->
         ignore err;
         stop := true
-  done;
-  flush_reads ();
-  Bq.close conn.work
+  done
 
-let finish_conn t cid =
+(* Unregisters and closes under [sm], so [stop] never shuts down a
+   descriptor number that has already been reused. *)
+let finish_conn t cid fd =
   Mutex.lock t.sm;
   Hashtbl.remove t.conns cid;
+  quiet_close fd;
   set_conn_gauge t;
   Mutex.unlock t.sm
 
@@ -520,9 +467,7 @@ module Mc = struct
 end
 
 let mc_send fd s =
-  (* SAFETY: Bytes.unsafe_of_string aliases an immutable string that
-     write(2) only reads; the bytes are never mutated. *)
-  match write_all fd (Bytes.unsafe_of_string s) 0 (String.length s) with
+  match write_all fd s 0 (String.length s) with
   | () -> ()
   | exception Unix.Unix_error (err, _, _) -> ignore err
 
@@ -622,12 +567,13 @@ let mc_loop t fd =
         | [ "version" ] -> mc_send fd "VERSION hyperion-net 1.0\r\n"
         | [ "quit" ] -> running := false
         | _ -> mc_send fd "ERROR\r\n")
-  done;
-  quiet_close fd
+  done
 
 (* ---- accept / lifecycle ---------------------------------------------- *)
 
-let spawn_binary_conn t fd =
+(* Registers a connection served by [threads] (given its id), unless the
+   server is stopping or full. *)
+let spawn_conn t fd threads =
   Mutex.lock t.sm;
   if t.stopping || Hashtbl.length t.conns >= t.cfg.max_connections then begin
     Mutex.unlock t.sm;
@@ -636,68 +582,60 @@ let spawn_binary_conn t fd =
   else begin
     let cid = t.next_conn in
     t.next_conn <- cid + 1;
-    let nworkers = max 1 t.cfg.workers_per_conn in
-    let conn =
-      {
-        fd;
-        work = Bq.create ();
-        out = Bq.create ();
-        wm = Mutex.create ();
-        live_workers = nworkers;
-      }
-    in
-    let workers =
-      List.init nworkers (fun _ ->
-          Thread.create (fun () -> worker_loop t conn) ())
-    in
-    let writer = Thread.create (fun () -> writer_loop conn) () in
-    let reader =
-      Thread.create
-        (fun () ->
-          reader_loop t conn;
-          (* reader closed the work queue; workers drain then seal [out];
-             writer flushes and closes the fd.  Join them so the conn's
-             registry entry outlives all its threads. *)
-          List.iter Thread.join workers;
-          Thread.join writer;
-          finish_conn t cid)
-        ()
-    in
-    Hashtbl.replace t.conns cid (conn, reader :: writer :: workers);
+    Hashtbl.replace t.conns cid (fd, threads cid);
     set_conn_gauge t;
     Mutex.unlock t.sm
   end
 
+(* Shutdown cascade: the reader hits EOF and stops posting, the writer
+   sends the completions still owed and exits, then the reader's thread
+   closes the socket. *)
+let spawn_binary_conn t fd =
+  spawn_conn t fd (fun cid ->
+      let conn =
+        {
+          fd;
+          wm = Mutex.create ();
+          broken = false;
+          om = Mutex.create ();
+          oc = Condition.create ();
+          out = Buffer.create 4096;
+          posted = 0;
+          reading = true;
+        }
+      in
+      let writer = Thread.create writer_loop conn in
+      let reader =
+        Thread.create
+          (fun () ->
+            Fun.protect
+              ~finally:(fun () ->
+                end_reading conn;
+                Thread.join writer;
+                finish_conn t cid fd)
+              (fun () -> reader_loop t conn))
+          ()
+      in
+      [ reader; writer ])
+
 let spawn_mc_conn t fd =
-  Mutex.lock t.sm;
-  if t.stopping || Hashtbl.length t.conns >= t.cfg.max_connections then begin
-    Mutex.unlock t.sm;
-    quiet_close fd
-  end
-  else begin
-    let cid = t.next_conn in
-    t.next_conn <- cid + 1;
-    let conn =
-      { fd; work = Bq.create (); out = Bq.create (); wm = Mutex.create ();
-        live_workers = 0 }
-    in
-    let th =
-      Thread.create
-        (fun () ->
-          mc_loop t fd;
-          finish_conn t cid)
-        ()
-    in
-    Hashtbl.replace t.conns cid (conn, [ th ]);
-    set_conn_gauge t;
-    Mutex.unlock t.sm
-  end
+  spawn_conn t fd (fun cid ->
+      [
+        Thread.create
+          (fun () ->
+            Fun.protect
+              ~finally:(fun () -> finish_conn t cid fd)
+              (fun () -> mc_loop t fd))
+          ();
+      ])
 
 let acceptor_loop t sock spawn =
   let running = ref true in
   while !running do
     match Unix.accept ~cloexec:true sock with
-    | fd, _ -> spawn t fd
+    | fd, _ ->
+        set_nodelay fd;
+        spawn t fd
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     | exception Unix.Unix_error (err, _, _) ->
         (* the listener was closed by [stop] (EBADF/EINVAL) or is beyond
@@ -726,9 +664,7 @@ let listen_on ~host ~port =
            (Unix.error_message err) fn)
 
 let start ?(config = default_config) store =
-  if config.workers_per_conn < 1 || config.workers_per_conn > 64 then
-    Error "workers_per_conn must be in [1, 64]"
-  else if config.max_connections < 1 then Error "max_connections must be >= 1"
+  if config.max_connections < 1 then Error "max_connections must be >= 1"
   else begin
     (* a peer that disappears mid-write must surface as EPIPE, not kill
        the process *)
@@ -797,9 +733,6 @@ let stop t =
   Mutex.lock t.sm;
   let already = t.stopping in
   t.stopping <- true;
-  let conn_threads =
-    Hashtbl.fold (fun _ (conn, ths) acc -> (conn, ths) :: acc) t.conns []
-  in
   Mutex.unlock t.sm;
   if not already then begin
     (* shutdown() first: on Linux, close() alone does not wake a thread
@@ -812,9 +745,17 @@ let stop t =
         quiet_close s
     | None -> ());
     List.iter Thread.join t.acceptors;
-    (* shut connections down: readers see EOF, pipelines drain, writers
-       flush and close *)
-    List.iter (fun (conn, _) -> quiet_shutdown conn.fd) conn_threads;
-    List.iter (fun (_, ths) -> List.iter Thread.join ths) conn_threads;
+    (* no connection registers once [stopping] is set: EOF every reader,
+       then wait for each connection's cascade to finish *)
+    Mutex.lock t.sm;
+    let threads =
+      Hashtbl.fold
+        (fun _ (fd, ths) acc ->
+          quiet_shutdown fd;
+          ths @ acc)
+        t.conns []
+    in
+    Mutex.unlock t.sm;
+    List.iter Thread.join threads;
     if Telemetry.enabled () then Telemetry.Gauge.set g_conns 0
   end

@@ -1,13 +1,18 @@
 (** hyperion.net — the TCP serving front-end over {!Hyperion_shard}.
 
-    One acceptor thread per listening socket; each accepted connection
-    gets a {e reader} thread (frame parsing + lock-free [Get]/[Mem]
-    served inline), a small pool of {e op worker} threads (blocking
-    mutations, [Batch], [Stats], [Health] — each op rides the shard
-    mailboxes and completes an ivar ack), and a {e writer} thread
-    draining a response queue.  Responses therefore leave in completion
-    order, not arrival order: pipelined clients correlate by request id
-    (see {!Frame}).  Typed store failures ({!Hyperion.Hyperion_error.t},
+    One acceptor thread per listening socket; every accepted socket gets
+    [TCP_NODELAY].  Each binary connection runs exactly two threads.  The
+    {e reader} decodes frames, answers [Get]/[Mem] inline on the
+    lock-free read path (consecutive reads batch into one
+    {!Hyperion_shard.get_many}/[mem_many] descent), runs the rare
+    quiescing [Stats]/[Health] itself, and sends each decode pass's
+    inline responses as one write.  Mutations and [Batch] are posted to
+    the shard mailboxes with a completion callback: the shard worker
+    encodes the response into the connection's out buffer, and the
+    {e writer} sends everything that accumulated since its last wakeup
+    as one write.  Responses therefore leave in completion order, not
+    arrival order: pipelined clients correlate by request id (see
+    {!Frame}).  Typed store failures ({!Hyperion.Hyperion_error.t},
     including [Degraded]/[Shard_down]/[Overloaded]) map to protocol
     error codes; a malformed frame is answered [E_bad_request] without
     closing the connection, while an unrecoverable framing error
@@ -17,13 +22,14 @@
     ([get]/[set]/[delete]/[stats]/[version]/[quit]) so off-the-shelf
     clients can talk to the store: values are decimal 64-bit integers
     (an empty data block stores a valueless member), responses are
-    in-order as that protocol requires.
+    in-order as that protocol requires (one thread per connection).
 
-    Telemetry (when enabled): [hyperion_net_connections] /
-    [hyperion_net_inflight] gauges, [hyperion_net_requests_total]
-    counters per op, [hyperion_net_protocol_errors_total], and
+    Telemetry (when enabled): the [hyperion_net_connections] gauge,
+    [hyperion_net_requests_total] counters per op,
+    [hyperion_net_protocol_errors_total], and
     [hyperion_net_server_latency_ns{op=...}] histograms measured from
-    frame decode to response enqueue. *)
+    frame decode to response enqueue/write (into the pass buffer for
+    inline responses, into the out buffer for completions). *)
 
 type t
 
@@ -33,7 +39,6 @@ type config = {
   memcached_port : int option;
       (** when set, also serve the memcached-text subset there
           ([Some 0] = ephemeral) *)
-  workers_per_conn : int;  (** op worker threads per connection (default 4) *)
   max_connections : int;  (** accepted connections beyond this are closed *)
 }
 
@@ -52,6 +57,7 @@ val connections : t -> int
 (** Currently-open connections across both listeners. *)
 
 val stop : t -> unit
-(** Close the listeners and every connection, then join all threads.
-    In-flight operations finish (their responses are discarded if the
-    peer is already gone).  Idempotent. *)
+(** Close the listeners and shut down every connection, then join all
+    threads: each reader sees EOF, the mutations it already posted
+    complete (their responses are discarded if the peer is already
+    gone), the writer exits and the socket is closed.  Idempotent. *)

@@ -41,8 +41,27 @@ let c_overloads =
     ~help:"Mutations rejected because a shard mailbox stayed full past the \
            enqueue deadline"
 
-(* --- one-shot synchronisation cell (per-request promise) -------------- *)
+(* --- completions -------------------------------------------------------- *)
 
+let c_callback_errors =
+  T.Counter.make "hyperion_shard_callback_errors_total"
+    ~help:"Completion callbacks that raised (contained; the worker survives)"
+
+(* First-wins completion: worker cleanup may fail a message whose handler
+   already completed it before raising, so only the first call takes
+   effect.  A raising callback is contained here so it can never kill the
+   shard worker that runs it. *)
+let once k =
+  let fired = Atomic.make false in
+  fun v ->
+    if not (Atomic.exchange fired true) then
+      try k v
+      with exn ->
+        ignore exn;
+        if T.enabled () then T.Counter.incr c_callback_errors
+
+(* One-shot synchronisation cell: a blocking operation is the async one
+   with a completion that fills this cell, which the caller waits on. *)
 module Ivar = struct
   type 'a t = {
     m : Mutex.t;
@@ -50,19 +69,14 @@ module Ivar = struct
     mutable v : 'a option; [@guarded_by m]
   }
 
-  let create () = { m = Mutex.create (); c = Condition.create (); v = None }
-
-  (* Idempotent: the first fill wins.  Worker cleanup may fail a message
-     whose handler already filled its ivar before raising. *)
-  let fill t v =
-    Mutex.lock t.m;
-    if t.v = None then begin
-      t.v <- Some v;
-      Condition.broadcast t.c
-    end;
-    Mutex.unlock t.m
-
-  let read t =
+  (* [await submit] passes [submit] a completion and blocks until it runs. *)
+  let await submit =
+    let t = { m = Mutex.create (); c = Condition.create (); v = None } in
+    submit (fun v ->
+        Mutex.lock t.m;
+        t.v <- Some v;
+        Condition.broadcast t.c;
+        Mutex.unlock t.m);
     Mutex.lock t.m;
     let rec wait () =
       match t.v with
@@ -75,6 +89,8 @@ module Ivar = struct
     in
     wait ()
 end
+
+type 'a completion = ('a, E.t) result -> unit
 
 (* --- requests --------------------------------------------------------- *)
 
@@ -93,10 +109,11 @@ type barrier = {
    any unexpected worker exception. *)
 exception Injected_worker_crash of string
 
+(* The closures are {!once}-wrapped and run on the shard worker's domain. *)
 type msg =
-  | Mut of op * (bool, E.t) result Ivar.t
+  | Mut of op * bool completion
       (** one mutation; the bool is [Delete]'s "was present" *)
-  | Batched of op array * (int * E.t option) Ivar.t
+  | Batched of op array * (int * E.t option -> unit)
       (** a per-shard batch slice; the int counts the applied prefix, the
           error (if any) is what stopped it *)
   | Quiesce of barrier
@@ -318,23 +335,23 @@ let participate b =
 
 let worker sh () =
   let handle = function
-    | Mut (op, iv) -> Ivar.fill iv (apply_op sh op)
-    | Batched (ops, iv) ->
+    | Mut (op, k) -> k (apply_op sh op)
+    | Batched (ops, k) ->
         if T.enabled () then T.Histogram.observe_ns m_batch (Array.length ops);
         let n = Array.length ops in
         let rec go i applied =
-          if i >= n then Ivar.fill iv (applied, None)
+          if i >= n then k (applied, None)
           else
             match apply_op sh ops.(i) with
             | Ok _ -> go (i + 1) (applied + 1)
-            | Error e -> Ivar.fill iv (applied, Some e)
+            | Error e -> k (applied, Some e)
         in
         go 0 0
     | Quiesce b -> participate b
     | Poison reason -> raise (Injected_worker_crash reason)
   in
   (* Supervision: an unexpected exception must never strand a client.
-     The dying worker marks itself unhealthy, fails every pending promise
+     The dying worker marks itself unhealthy, fails every pending completion
      with a typed [Shard_down], still takes quiesce barriers it already
      received (a quiesced reader must not hang on a shard it posted to),
      seals its mailbox, and exits.  Siblings keep serving; the shard can
@@ -344,13 +361,13 @@ let worker sh () =
     Atomic.set sh.health (Some reason);
     if T.enabled () then T.Counter.incr c_worker_crashes;
     let fail_one = function
-      | Mut (_, iv) -> Ivar.fill iv (Error (E.Shard_down reason))
-      | Batched (_, iv) -> Ivar.fill iv (0, Some (E.Shard_down reason))
+      | Mut (_, k) -> k (Error (E.Shard_down reason))
+      | Batched (_, k) -> k (0, Some (E.Shard_down reason))
       | Quiesce b -> participate b
       | Poison _ -> ()
     in
-    (* the message that raised first: its promise may be unfilled (fill is
-       idempotent, so a message that half-completed is safe to fail) *)
+    (* the message that raised first: it may be uncompleted (completions
+       are first-wins, so a message that half-completed is safe to fail) *)
     for j = from to Array.length msgs - 1 do
       fail_one msgs.(j)
     done;
@@ -655,31 +672,26 @@ let rec submit_msg t sh msg =
               else if sh.mb != mb then submit_msg t sh msg
               else Error (closed_error t)))
 
-let submit t ekey op =
-  let sh = t.tab.(shard_of_encoded t ekey) in
-  let iv = Ivar.create () in
-  match submit_msg t sh (Mut (op, iv)) with
-  | Ok () -> Ivar.read iv
-  | Error _ as e -> e
-
-let put_result t key v =
+(* Completion-driven front door: [k] runs exactly once, on the caller
+   when the request fails before reaching a mailbox, otherwise on the
+   owning shard's worker domain after the mutation is applied. *)
+let submit_async t key op k =
+  let k = once k in
   match front_key t.enc key with
-  | Error e -> Error e
+  | Error e -> k (Error e)
   | Ok ek -> (
-      match submit t ek (Put (ek, v)) with
-      | Ok _ -> Ok ()
-      | Error _ as e -> e)
+      match submit_msg t t.tab.(shard_of_encoded t ek) (Mut (op ek, k)) with
+      | Ok () -> ()
+      | Error e -> k (Error e))
 
-let add_result t key =
-  match front_key t.enc key with
-  | Error e -> Error e
-  | Ok ek -> (
-      match submit t ek (Add ek) with Ok _ -> Ok () | Error _ as e -> e)
+let unit_result k = function Ok _ -> k (Ok ()) | Error e -> k (Error e)
 
-let delete_result t key =
-  match front_key t.enc key with
-  | Error e -> Error e
-  | Ok ek -> submit t ek (Delete ek)
+let put_async t key v k = submit_async t key (fun ek -> Put (ek, v)) (unit_result k)
+let add_async t key k = submit_async t key (fun ek -> Add ek) (unit_result k)
+let delete_async t key k = submit_async t key (fun ek -> Delete ek) k
+let put_result t key v = Ivar.await (put_async t key v)
+let add_result t key = Ivar.await (add_async t key)
+let delete_result t key = Ivar.await (delete_async t key)
 
 let ok_or_raise = function Ok v -> v | Error e -> E.fail e
 
@@ -793,43 +805,65 @@ module Batch = struct
     push b ek (Delete ek)
   let length b = b.count
 
-  let flush_report b =
-    if b.count = 0 then []
+  (* One flush fans out one [Batched] slice per involved shard; each
+     shard's completion fills its slot and the last one to land reports
+     the whole flush. *)
+  type countdown = {
+    cm : Mutex.t;
+    slots : shard_flush array;  (* written under [cm] *)
+    mutable remaining : int; [@guarded_by cm]
+  }
+
+  let flush_report_async b k =
+    let involved = ref [] in
+    for i = Array.length b.pending - 1 downto 0 do
+      if b.pending.(i) <> [] then begin
+        involved := (i, Array.of_list (List.rev b.pending.(i))) :: !involved;
+        b.pending.(i) <- []
+      end
+    done;
+    b.count <- 0;
+    let involved = Array.of_list !involved in
+    if involved = [||] then k []
     else begin
-      let waits = ref [] in
+      let cd =
+        {
+          cm = Mutex.create ();
+          slots =
+            Array.map
+              (fun (i, slice) ->
+                { fr_shard = i; fr_ops = Array.length slice; fr_applied = 0;
+                  fr_error = None })
+              involved;
+          remaining = Array.length involved;
+        }
+      in
+      let complete j (applied, err) =
+        Mutex.lock cd.cm;
+        cd.slots.(j) <- { (cd.slots.(j)) with fr_applied = applied; fr_error = err };
+        cd.remaining <- cd.remaining - 1;
+        let report = if cd.remaining = 0 then Some (Array.to_list cd.slots) else None in
+        Mutex.unlock cd.cm;
+        Option.iter k report
+      in
       Array.iteri
-        (fun i ops ->
-          if ops <> [] then begin
-            let slice = Array.of_list (List.rev ops) in
-            b.pending.(i) <- [];
-            let iv = Ivar.create () in
-            let cell =
-              match submit_msg b.owner b.owner.tab.(i) (Batched (slice, iv)) with
-              | Ok () -> (i, Array.length slice, Ok iv)
-              | Error e -> (i, Array.length slice, Error e)
-            in
-            waits := cell :: !waits
-          end)
-        b.pending;
-      b.count <- 0;
-      (* waits is in reverse shard order; rev_map restores ascending *)
-      List.rev_map
-        (fun (i, ops, cell) ->
-          match cell with
-          | Ok iv ->
-              let applied, err = Ivar.read iv in
-              { fr_shard = i; fr_ops = ops; fr_applied = applied; fr_error = err }
-          | Error e ->
-              { fr_shard = i; fr_ops = ops; fr_applied = 0; fr_error = Some e })
-        !waits
+        (fun j (i, slice) ->
+          let c = once (complete j) in
+          match submit_msg b.owner b.owner.tab.(i) (Batched (slice, c)) with
+          | Ok () -> ()
+          | Error e -> c (0, Some e))
+        involved
     end
 
-  let flush b =
-    let report = flush_report b in
+  let reduce report =
     let applied = List.fold_left (fun acc r -> acc + r.fr_applied) 0 report in
     match List.find_map (fun r -> r.fr_error) report with
     | Some e -> Error e
     | None -> Ok applied
+
+  let flush_report b = Ivar.await (flush_report_async b)
+  let flush_async b k = flush_report_async b (fun r -> k (reduce r))
+  let flush b = reduce (flush_report b)
 end
 
 (* --- quiescence barrier ----------------------------------------------- *)

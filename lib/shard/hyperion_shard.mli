@@ -146,6 +146,23 @@ val put_result : t -> string -> int64 -> (unit, Hyperion.Hyperion_error.t) resul
 val add_result : t -> string -> (unit, Hyperion.Hyperion_error.t) result
 val delete_result : t -> string -> (bool, Hyperion.Hyperion_error.t) result
 
+(** {1 Completion-driven mutations}
+
+    The mechanism under the blocking operations, which wait on these.
+    The completion runs exactly once: on the caller when the request
+    fails before reaching a mailbox (bad key, [Shard_down],
+    [Overloaded], closed store), otherwise on the shard worker's domain
+    once the mutation is applied (and logged, when durable).  It must
+    not block: it delays every later mutation of that shard.  One that
+    raises is contained and counted
+    ([hyperion_shard_callback_errors_total]). *)
+
+type 'a completion = ('a, Hyperion.Hyperion_error.t) result -> unit
+
+val put_async : t -> string -> int64 -> unit completion -> unit
+val add_async : t -> string -> unit completion -> unit
+val delete_async : t -> string -> bool completion -> unit
+
 (** {1 Batched mutations}
 
     The amortized path: accumulate mutations locally, then {!Batch.flush}
@@ -186,6 +203,11 @@ module Batch : sig
       number of mutations applied; on failure the first error (lowest
       shard index) is returned, and [n] applied mutations in other shards
       are not rolled back. *)
+
+  val flush_async : b -> int completion -> unit
+  (** {!flush} with a completion instead of a wait: the batch is emptied
+      and its slices posted before this returns; the completion receives
+      the {!flush} result from whichever shard finishes last. *)
 end
 
 (** {1 Quiesced cross-shard reads}

@@ -598,6 +598,186 @@ let test_stop_with_live_connections () =
   | Ok () -> ()
   | Error e -> Alcotest.failf "close: %s" (E.to_string e)
 
+(* --- latency: no Nagle / delayed-ACK stall ------------------------------ *)
+
+let median xs =
+  let a = Array.of_list xs in
+  Array.sort compare a;
+  a.(Array.length a / 2)
+
+(* A response written while the previous one is unacknowledged waits for
+   the peer's delayed ACK (>= 40 ms on Linux) unless the server sets
+   TCP_NODELAY.  Each round pipelines two requests whose responses leave
+   in two separate writes (the reader's inline Get, the writer's Put
+   completion); the median round trip must stay far below that stall. *)
+let rounds = 50
+let stall_bound_s = 0.005
+
+let test_binary_no_nagle_stall () =
+  let (t, srv) = start_server () in
+  let cl = connect srv in
+  let times =
+    List.init rounds (fun i ->
+        let t0 = Unix.gettimeofday () in
+        (match
+           ( Client.send cl ~id:(2 * i) (F.Put (Printf.sprintf "nagle %d" i, 1L)),
+             Client.send cl ~id:((2 * i) + 1)
+               (F.Get (Printf.sprintf "nagle %d" (i + 1000))) )
+         with
+        | Ok (), Ok () -> ()
+        | _ -> Alcotest.fail "send");
+        for _ = 1 to 2 do
+          match Client.recv cl with
+          | Ok _ -> ()
+          | Error m -> Alcotest.failf "recv: %s" m
+        done;
+        Unix.gettimeofday () -. t0)
+  in
+  let m = median times in
+  if m >= stall_bound_s then
+    Alcotest.failf "binary round median %.2f ms (Nagle stall?)" (m *. 1e3);
+  Client.close cl;
+  stop_server (t, srv)
+
+let test_memcached_no_nagle_stall () =
+  let (t, srv) = start_server ~memcached:true () in
+  let sock = mc_connect srv in
+  Unix.setsockopt sock Unix.TCP_NODELAY true;
+  let times =
+    List.init rounds (fun i ->
+        let t0 = Unix.gettimeofday () in
+        mc_send sock (Printf.sprintf "set nagle%d 0 0 1\r\n7\r\n" i);
+        mc_send sock (Printf.sprintf "get nagle%d\r\n" i);
+        ignore (mc_read_until sock "END\r\n");
+        Unix.gettimeofday () -. t0)
+  in
+  let m = median times in
+  if m >= stall_bound_s then
+    Alcotest.failf "memcached round median %.2f ms (Nagle stall?)" (m *. 1e3);
+  Unix.close sock;
+  stop_server (t, srv)
+
+(* --- completions under supervision -------------------------------------- *)
+
+let rec key_on t shard b suffix =
+  if b > 255 then Alcotest.failf "no key for shard %d" shard
+  else
+    let k = Printf.sprintf "%c%s" (Char.chr b) suffix in
+    if Sh.shard_of_key t k = shard then k else key_on t shard (b + 1) suffix
+
+(* Pipelined Put and Batch frames are in flight while shard 0's worker
+   dies: every request id is answered exactly once, with its success
+   shape or E_shard_down, and the connection keeps serving reads. *)
+let test_completions_while_shard_dies () =
+  let (t, srv) = start_server ~shards:2 () in
+  let cl = connect srv in
+  let key i = key_on t (i mod 2) 1 (Printf.sprintf " sup %d" i) in
+  let n = 300 in
+  let req i =
+    if i mod 10 = 9 then
+      F.Batch (Array.init 8 (fun j -> F.Bput (key ((i * 8) + j), Int64.of_int j)))
+    else F.Put (key i, Int64.of_int i)
+  in
+  let send i =
+    match Client.send cl ~id:i (req i) with
+    | Ok () -> ()
+    | Error m -> Alcotest.failf "send %d: %s" i m
+  in
+  for i = 0 to (n / 2) - 1 do
+    send i
+  done;
+  ignore (Sh.poison t ~shard:0 ~reason:"completion test kill");
+  for i = n / 2 to n - 1 do
+    send i
+  done;
+  let seen = Hashtbl.create n in
+  let downs = ref 0 in
+  for _ = 1 to n do
+    match Client.recv cl with
+    | Error m -> Alcotest.failf "recv: %s" m
+    | Ok (id, resp) -> (
+        if id < 0 || id >= n then Alcotest.failf "alien id %d" id;
+        if Hashtbl.mem seen id then Alcotest.failf "duplicate id %d" id;
+        Hashtbl.add seen id ();
+        match (req id, resp) with
+        | _, F.Err (F.E_shard_down, _) -> incr downs
+        | F.Put _, F.Ack -> ()
+        | F.Batch ops, F.Applied k when k = Array.length ops -> ()
+        | _ -> Alcotest.failf "id %d: unexpected response" id)
+  done;
+  Alcotest.(check int) "every id answered once" n (Hashtbl.length seen);
+  Alcotest.(check bool) "some completions failed Shard_down" true (!downs > 0);
+  Alcotest.(check bool) "some completions succeeded" true (!downs < n);
+  (* the worker is dead now, and the connection still serves *)
+  (match ok "put after death" (Client.request cl (F.Put (key 0, 1L))) with
+  | F.Err (F.E_shard_down, _) -> ()
+  | _ -> Alcotest.fail "shard 0 should be down");
+  expect "live shard still applies" F.Ack
+    (ok "put" (Client.request cl (F.Put (key 1, 42L))));
+  expect "get on live shard" (F.Value (Some 42L))
+    (ok "get" (Client.request cl (F.Get (key 1))));
+  (match ok "get on dead shard" (Client.request cl (F.Get (key 2))) with
+  | F.Value _ -> ()
+  | _ -> Alcotest.fail "reads must still be served on a dead shard");
+  Client.close cl;
+  Server.stop srv;
+  match Sh.close t with
+  | Ok () | Error (E.Shard_down _) -> ()
+  | Error e -> Alcotest.failf "close: %s" (E.to_string e)
+
+(* Fails the test instead of hanging when [f] does not return in time. *)
+let within what seconds f =
+  let finished = Atomic.make false in
+  let th = Thread.create (fun () -> f (); Atomic.set finished true) () in
+  let deadline = Unix.gettimeofday () +. seconds in
+  while (not (Atomic.get finished)) && Unix.gettimeofday () < deadline do
+    Thread.delay 0.01
+  done;
+  if not (Atomic.get finished) then Alcotest.failf "%s did not return" what;
+  Thread.join th
+
+(* 1000 pipelined Puts, then the client vanishes without reading a
+   response: the completions still owed drain into a dead socket and
+   the shutdown cascade finishes. *)
+let test_abrupt_close_with_puts_in_flight () =
+  let (t, srv) = start_server () in
+  let cl = connect srv in
+  for i = 0 to 999 do
+    match Client.send cl ~id:i (F.Put (Printf.sprintf "abrupt %d" i, 1L)) with
+    | Ok () -> ()
+    | Error m -> Alcotest.failf "send %d: %s" i m
+  done;
+  Client.close cl;
+  within "Server.stop" 10.0 (fun () -> Server.stop srv);
+  Alcotest.(check int) "no connections after stop" 0 (Server.connections srv);
+  match Sh.close t with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "close: %s" (E.to_string e)
+
+(* Every binary connection costs exactly two threads (reader + writer).
+   Threads of earlier tests may still be exiting, so each count waits
+   for the process's thread count to hold still first. *)
+let test_two_threads_per_connection () =
+  if Sys.file_exists "/proc/self/task" then begin
+    let threads () = Array.length (Sys.readdir "/proc/self/task") in
+    let rec settle last still deadline =
+      Thread.delay 0.02;
+      let n = threads () in
+      if still >= 5 || Unix.gettimeofday () > deadline then n
+      else settle n (if n = last then still + 1 else 0) deadline
+    in
+    let settled () = settle (threads ()) 0 (Unix.gettimeofday () +. 3.0) in
+    let (t, srv) = start_server () in
+    let before = settled () in
+    let cls = List.init 3 (fun _ -> connect srv) in
+    List.iter
+      (fun cl -> expect "get" (F.Value None) (ok "get" (Client.request cl (F.Get "x"))))
+      cls;
+    Alcotest.(check int) "threads for 3 connections" 6 (settled () - before);
+    List.iter Client.close cls;
+    stop_server (t, srv)
+  end
+
 let () =
   Alcotest.run "net-server"
     [
@@ -628,6 +808,22 @@ let () =
             test_burst_with_down_and_degraded_shards;
         ] );
       ("memcached", [ Alcotest.test_case "text subset" `Quick test_memcached_text ]);
+      ( "latency",
+        [
+          Alcotest.test_case "binary rounds without Nagle stall" `Quick
+            test_binary_no_nagle_stall;
+          Alcotest.test_case "memcached rounds without Nagle stall" `Quick
+            test_memcached_no_nagle_stall;
+        ] );
+      ( "completions",
+        [
+          Alcotest.test_case "pipelined mutations while a shard dies" `Quick
+            test_completions_while_shard_dies;
+          Alcotest.test_case "abrupt close with puts in flight" `Quick
+            test_abrupt_close_with_puts_in_flight;
+          Alcotest.test_case "two threads per connection" `Quick
+            test_two_threads_per_connection;
+        ] );
       ( "lifecycle",
         [
           Alcotest.test_case "stop with live connections" `Quick

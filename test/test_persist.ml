@@ -35,6 +35,67 @@ let dump store =
   S.iter store (fun k v -> acc := (k, v) :: !acc);
   List.rev !acc
 
+(* --- CRC-32 ----------------------------------------------------------- *)
+
+module Crc32 = Persist.Crc32
+
+let check_vector crc = Alcotest.(check int32) "CRC-32 of 123456789" 0xCBF43926l crc
+
+(* Two domains released together by a spin barrier race on a CRC call.
+   Listed first in this executable, so the first iteration is the
+   process's first CRC: a lazily built table raised
+   CamlinternalLazy.Undefined there when both domains forced it at once
+   (sharded parallel recovery did exactly that).  Later iterations check
+   concurrent calls agree. *)
+let test_crc_domain_race () =
+  for _ = 1 to 200 do
+    let ready = Atomic.make 0 in
+    let go () =
+      Atomic.incr ready;
+      while Atomic.get ready < 2 do
+        Domain.cpu_relax ()
+      done;
+      Crc32.string "123456789" ~pos:0 ~len:9
+    in
+    let d1 = Domain.spawn go and d2 = Domain.spawn go in
+    check_vector (Domain.join d1);
+    check_vector (Domain.join d2)
+  done
+
+(* Bit-at-a-time reference: the table-driven loop must match it exactly,
+   including continued checksums, so files written by any earlier build
+   keep verifying. *)
+let reference_crc ?(crc = 0l) s =
+  let c = ref (Int32.logxor crc 0xFFFFFFFFl) in
+  String.iter
+    (fun ch ->
+      c := Int32.logxor !c (Int32.of_int (Char.code ch));
+      for _ = 0 to 7 do
+        c :=
+          if Int32.logand !c 1l <> 0l then
+            Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
+          else Int32.shift_right_logical !c 1
+      done)
+    s;
+  Int32.logxor !c 0xFFFFFFFFl
+
+let test_crc_reference () =
+  check_vector (Crc32.string "123456789" ~pos:0 ~len:9);
+  Alcotest.(check int32) "empty" 0l (Crc32.string "" ~pos:0 ~len:0);
+  let rng = Random.State.make [| 32 |] in
+  for _ = 1 to 500 do
+    let n = Random.State.int rng 300 in
+    let s = String.init n (fun _ -> Char.chr (Random.State.int rng 256)) in
+    let cut = if n = 0 then 0 else Random.State.int rng (n + 1) in
+    let want = reference_crc s in
+    Alcotest.(check int32) "whole" want (Crc32.string s ~pos:0 ~len:n);
+    let head = Crc32.string s ~pos:0 ~len:cut in
+    Alcotest.(check int32) "continued" want
+      (Crc32.string ~crc:head s ~pos:cut ~len:(n - cut));
+    Alcotest.(check int32) "bytes = string" want
+      (Crc32.bytes (Bytes.of_string s) ~pos:0 ~len:n)
+  done
+
 (* --- snapshot round-trip -------------------------------------------- *)
 
 let test_snapshot_roundtrip () =
@@ -430,6 +491,13 @@ let test_diskfault_chaos_sweep () =
 let () =
   Alcotest.run "persist"
     [
+      ( "crc32",
+        [
+          Alcotest.test_case "domains race on the first call" `Quick
+            test_crc_domain_race;
+          Alcotest.test_case "matches the bitwise reference" `Quick
+            test_crc_reference;
+        ] );
       ( "snapshot",
         [
           Alcotest.test_case "round-trip" `Quick test_snapshot_roundtrip;

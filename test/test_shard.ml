@@ -149,6 +149,57 @@ let test_close () =
     (Sh.get t "\x05alive");
   Alcotest.(check int) "length after close" 1 (Sh.length t)
 
+(* --- completions ------------------------------------------------------- *)
+
+let wait_until what f =
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while (not (f ())) && Unix.gettimeofday () < deadline do
+    Thread.delay 0.001
+  done;
+  if not (f ()) then Alcotest.failf "timed out waiting for %s" what
+
+(* Completions run exactly once, a front-door failure completes on the
+   caller before the call returns, a batch completes once through its
+   countdown, and a completion that raises leaves the worker serving. *)
+let test_async_completions () =
+  with_store (fun t ->
+      let fired = Atomic.make 0 in
+      let n = 200 in
+      for i = 0 to n - 1 do
+        Sh.put_async t (Printf.sprintf "%c async %d" (Char.chr (i mod 256)) i)
+          (Int64.of_int i) (function
+          | Ok () -> Atomic.incr fired
+          | Error e -> Alcotest.failf "put_async: %s" (E.to_string e))
+      done;
+      wait_until "put completions" (fun () -> Atomic.get fired = n);
+      let early = ref None in
+      Sh.add_async t "" (fun r -> early := Some r);
+      (match !early with
+      | Some (Error E.Empty_key) -> ()
+      | _ -> Alcotest.fail "empty key must complete on the caller");
+      let b = Sh.Batch.create t in
+      for i = 0 to 99 do
+        Sh.Batch.put b (Printf.sprintf "%c batch async" (Char.chr (i * 2))) 1L
+      done;
+      let flushed = Atomic.make 0 and applied = Atomic.make (-1) in
+      Sh.Batch.flush_async b (fun r ->
+          Atomic.incr flushed;
+          match r with
+          | Ok k -> Atomic.set applied k
+          | Error e -> Alcotest.failf "flush_async: %s" (E.to_string e));
+      Alcotest.(check int) "batch emptied on post" 0 (Sh.Batch.length b);
+      wait_until "batch completion" (fun () -> Atomic.get flushed > 0);
+      Alcotest.(check int) "batch applied" 100 (Atomic.get applied);
+      Sh.put_async t "raising completion" 1L (fun _ -> failwith "callback bug");
+      Sh.put t "raising completion" 2L;
+      Alcotest.(check (option int64)) "worker still applies" (Some 2L)
+        (Sh.get t "raising completion");
+      Alcotest.(check bool) "every worker alive" true
+        (List.for_all (fun h -> h.Sh.hs_alive) (Sh.health t));
+      Thread.delay 0.05;
+      Alcotest.(check int) "puts completed once" n (Atomic.get fired);
+      Alcotest.(check int) "batch completed once" 1 (Atomic.get flushed))
+
 (* --- durability ------------------------------------------------------ *)
 
 let fresh_dir =
@@ -391,6 +442,7 @@ let () =
           Alcotest.test_case "empty key" `Quick test_empty_key;
           Alcotest.test_case "iter global order" `Quick test_iter_global_order;
           Alcotest.test_case "batch" `Quick test_batch;
+          Alcotest.test_case "async completions" `Quick test_async_completions;
           Alcotest.test_case "close" `Quick test_close;
         ] );
       ( "durability",
