@@ -134,7 +134,7 @@ let durability () =
   let loaded, load_s =
     time (fun () ->
         match Persist.load_snapshot ~config path with
-        | Ok (s, _enc) -> s
+        | Ok s -> s
         | Error e -> failwith (Hyperion.Hyperion_error.to_string e))
   in
   assert (Hyperion.Store.length loaded = Hyperion.Store.length store);

@@ -361,7 +361,7 @@ let static_analysis ~json () =
       Some (List.length vs)
 
 let chaos no_preflight seed ops per_mille crash diskfault dir shards
-    metrics_every heapcheck compress dict =
+    metrics_every heapcheck compress =
   check_shards shards;
   if not no_preflight then begin
     match static_analysis ~json:false () with
@@ -375,12 +375,6 @@ let chaos no_preflight seed ops per_mille crash diskfault dir shards
            with --no-preflight\n"
           n;
         exit 1
-  end;
-  if compress && (crash || diskfault || dir <> None || shards > 1) then begin
-    prerr_endline
-      "chaos: --compress runs the single-store in-memory mode only (no \
-       --crash/--diskfault/--dir/--shards)";
-    exit 2
   end;
   if per_mille < 0 || per_mille > 1000 then begin
     prerr_endline "chaos: --per-mille must be in [0, 1000]";
@@ -399,6 +393,9 @@ let chaos no_preflight seed ops per_mille crash diskfault dir shards
     exit 2
   end;
   if metrics_every > 0 then Telemetry.set_enabled true;
+  (* --compress runs every mode under Chaos.codec's dictionary *)
+  let with_codec c = if compress then { c with Hyperion.Config.compress = 1 } else c in
+  let config = with_codec default_config in
   (* single-store runs dump mid-run through the per-op hook; the sharded,
      crash and diskfault modes drive their workload internally and dump at
      the end *)
@@ -435,7 +432,7 @@ let chaos no_preflight seed ops per_mille crash diskfault dir shards
     let dir = scratch_dir () in
     if shards > 1 then
       match
-        Chaos.run_sharded_diskfault ~config:default_config ~shards ~heapcheck
+        Chaos.run_sharded_diskfault ~config ~shards ~heapcheck
           ~per_mille ~dir ~seed ~ops ()
       with
       | Ok o ->
@@ -447,7 +444,7 @@ let chaos no_preflight seed ops per_mille crash diskfault dir shards
           exit 1
     else
       match
-        Chaos.run_diskfault ~config:default_config ~heapcheck ~per_mille ~dir
+        Chaos.run_diskfault ~config ~heapcheck ~per_mille ~dir
           ~seed ~ops ()
       with
       | Ok o ->
@@ -463,7 +460,7 @@ let chaos no_preflight seed ops per_mille crash diskfault dir shards
        are not domain-safe, so this mode always runs fault-free *)
     let dir = if crash || dir <> None then Some (scratch_dir ()) else None in
     match
-      Chaos.run_sharded ~config:default_config ~shards ~heapcheck ?dir ~seed
+      Chaos.run_sharded ~config ~shards ~heapcheck ?dir ~seed
         ~ops ()
     with
     | Ok o ->
@@ -477,7 +474,7 @@ let chaos no_preflight seed ops per_mille crash diskfault dir shards
   else if crash then begin
     let dir = scratch_dir () in
     match
-      Chaos.run_crash ~config:default_config ~heapcheck ~dir ~seed ~ops ()
+      Chaos.run_crash ~config ~heapcheck ~dir ~seed ~ops ()
     with
     | Ok o ->
         Format.printf "chaos --crash: OK — %a@." Chaos.pp_crash_outcome o;
@@ -495,30 +492,16 @@ let chaos no_preflight seed ops per_mille crash diskfault dir shards
       match dir with
       | None -> (None, fun () -> ())
       | Some d ->
-          let p = open_dir d in
+          let p = open_dir ~config ~compress:(Chaos.codec config) d in
           print_recovery p;
           (* the chaos workload mutates the store directly (not through the
              log), so drop the handle without writing anything back *)
           (Some (Persist.store p), fun () -> Persist.crash p)
     in
-    let config, chaos_compress =
-      if not compress then (Hyperion.Config.default, Compress.Identity)
-      else
-        (* the chaos key universe is closed (Chaos.key_for over the default
-           4096-id space), so the dictionary can be trained on exactly the
-           keys the run will generate — unless --dict supplied one *)
-        let enc =
-          match dict with
-          | Some f -> load_dict f
-          | None ->
-              Compress.Dict
-                (Compress.train (Seq.init 4096 Chaos.key_for))
-        in
-        report_encoder enc;
-        ({ Hyperion.Config.default with compress = 1 }, enc)
-    in
+    let config = with_codec Hyperion.Config.default in
+    report_encoder (Chaos.codec config);
     match
-      Chaos.run ~config ~compress:chaos_compress ?store ?on_op ~heapcheck
+      Chaos.run ~config ?store ?on_op ~heapcheck
         ~plan ~seed ~ops ()
     with
     | Ok o ->
@@ -561,13 +544,12 @@ let save path shards compress dict =
           exit 2
       | None, false -> Compress.Identity
     in
-    let store = Hyperion.Store.create ~config () in
+    let store = Hyperion.Store.create ~config ~compress:enc () in
     drive_stdin
-      ~put:(fun k v -> Hyperion.Store.put store (Compress.encode enc k) v)
-      ~add:(fun k -> Hyperion.Store.add store (Compress.encode enc k))
-      ~del:(fun k ->
-        ignore (Hyperion.Store.delete store (Compress.encode enc k)));
-    match Persist.save_snapshot ~compress:enc store path with
+      ~put:(fun k v -> Hyperion.Store.put store k v)
+      ~add:(fun k -> Hyperion.Store.add store k)
+      ~del:(fun k -> ignore (Hyperion.Store.delete store k));
+    match Persist.save_snapshot store path with
     | Ok bytes ->
         Printf.printf "saved %d key(s), %d bytes -> %s\n"
           (Hyperion.Store.length store) bytes path
@@ -589,19 +571,19 @@ let load path dump shards compress dict =
     shard_check "close" (Hyperion_shard.close t)
   end
   else
-    match Persist.load_snapshot ?expect:enc_opt ~config path with
+    match Persist.load_snapshot ~config path with
     | Error e -> persist_fail ("loading " ^ path) e
-    | Ok (store, enc) ->
+    | Ok store ->
+        let enc = Hyperion.Store.codec store in
+        (match enc_opt with
+        | Some e when not (Compress.equal e enc) ->
+            persist_fail ("loading " ^ path)
+              (Hyperion.Hyperion_error.Version_mismatch
+                 { found = Compress.tag enc; expected = Compress.tag e })
+        | _ -> ());
         report_encoder enc;
         if dump then
-          Hyperion.Store.iter store (fun ek v ->
-              let k =
-                match Compress.decode enc ek with
-                | Ok k -> k
-                | Error why ->
-                    Printf.eprintf "stored key fails to decode: %s\n" why;
-                    exit 1
-              in
+          Hyperion.Store.iter store (fun k v ->
               Printf.printf "%s %s\n" k
                 (match v with Some v -> Int64.to_string v | None -> "-"));
         report store
@@ -628,7 +610,7 @@ let recover dir shards compress dict =
   else begin
     let p = open_dir ?compress:enc_opt ~config dir in
     print_recovery p;
-    report_encoder (Persist.compress p);
+    report_encoder (Hyperion.Store.codec (Persist.store p));
     report (Persist.store p);
     let violations = audit_store (Persist.store p) in
     (match Persist.close p with
@@ -732,7 +714,7 @@ let check file dir shards json =
         else (
           match Persist.load_snapshot ~config:default_config path with
           | Error e -> persist_fail ("loading " ^ path) e
-          | Ok (store, _enc) ->
+          | Ok store ->
               Printf.printf "loaded %d key(s) from %s\n"
                 (Hyperion.Store.length store) path;
               check_one store)
@@ -829,7 +811,7 @@ let repl () =
                dictionary refuse to load here (Version_mismatch) instead of
                surfacing garbled keys *)
             (match Persist.load_snapshot ~config:default_config path with
-            | Ok (s, _enc) ->
+            | Ok s ->
                 store := s;
                 Printf.printf "loaded %d key(s)\n" (Hyperion.Store.length s)
             | Error e ->
@@ -914,7 +896,7 @@ let metrics file dir shards probe =
         else
           (match Persist.load_snapshot ~config:default_config path with
           | Error e -> persist_fail ("loading " ^ path) e
-          | Ok (store, _enc) ->
+          | Ok store ->
               set_structural_gauges
                 ~keys:(Hyperion.Store.length store)
                 ~bytes:(Hyperion.Store.memory_usage store)
@@ -1437,7 +1419,8 @@ let compress_flag_arg =
        ~doc:"Use the trained-dictionary order-preserving key encoder \
              (hyperion.compress).  Over a durability directory the \
              persisted dictionary is adopted; elsewhere supply one with \
-             $(b,--dict).")
+             $(b,--dict).  $(b,chaos) trains its own on the closed key \
+             universe its workload draws from.")
 
 let dict_arg =
   Arg.(value & opt (some string) None & info [ "dict" ] ~docv:"FILE"
@@ -1493,7 +1476,7 @@ let cmds =
                disables the per-audit heap sanitizer; $(b,--no-preflight) \
                skips the static lint/racecheck preflight.  Exits 1 on \
                divergence or preflight violations")
-      Term.(const chaos $ no_preflight_arg $ seed_arg $ ops_arg $ per_mille_arg $ crash_arg $ diskfault_arg $ dir_arg $ shards_arg $ metrics_every_arg $ heapcheck_arg $ compress_flag_arg $ dict_arg);
+      Term.(const chaos $ no_preflight_arg $ seed_arg $ ops_arg $ per_mille_arg $ crash_arg $ diskfault_arg $ dir_arg $ shards_arg $ metrics_every_arg $ heapcheck_arg $ compress_flag_arg);
     Cmd.v
       (Cmd.info "health"
          ~doc:"Open a sharded durability directory and report per-shard \

@@ -1,13 +1,14 @@
 (* Key-compression experiment, shared by [bench/main.exe] and
    [hyperion_cli bench compress].
 
-   Re-measures the Table-1 shape (bytes/key, insert and lookup cost) with
-   the trained order-preserving dictionary encoder ({!Compress}) in front
-   of the trie, against an identity arm over the same seeded n-gram
-   corpus.  The dictionary is trained on a {!Workload.Keystream.reservoir}
-   sample of the corpus — the same helper the CLI [train] subcommand uses
-   — and every dict-arm timing {e includes} the encode cost, because that
-   is what a front-door operation costs in production. *)
+   Re-measures the Table-1 shape (bytes/key, insert and lookup cost) for
+   a store that owns the trained order-preserving dictionary codec
+   ({!Compress}, see {!Hyperion.Store.codec}), against an identity arm
+   over the same seeded n-gram corpus.  The dictionary is trained on a
+   {!Workload.Keystream.reservoir} sample of the corpus — the same helper
+   the CLI [train] subcommand uses.  Both arms hand the store raw keys,
+   so every dict-arm timing {e includes} the encode cost the store pays
+   beneath its interface. *)
 
 let default_config = { Hyperion.Config.strings with chunks_per_bin = 64 }
 
@@ -70,7 +71,7 @@ let run ?(n = 300_000) ?(sample = 4096) ?(config = default_config) ?json_dir
   Array.iter
     (fun (k, _) ->
       raw_bytes := !raw_bytes + String.length k;
-      enc_bytes := !enc_bytes + ((Compress.encoded_length enc k + 7) / 8))
+      enc_bytes := !enc_bytes + Compress.encoded_length enc k)
     pairs;
   let key_bytes_reduction_pct =
     (1.0 -. (float_of_int !enc_bytes /. float_of_int (max 1 !raw_bytes)))
@@ -79,7 +80,7 @@ let run ?(n = 300_000) ?(sample = 4096) ?(config = default_config) ?json_dir
   Gc.compact ();
   let store_id = Hyperion.Store.create ~config () in
   let store_dict =
-    Hyperion.Store.create ~config:{ config with compress = 1 } ()
+    Hyperion.Store.create ~config:{ config with compress = 1 } ~compress:enc ()
   in
   let durs_id = Array.make n 0 and durs_dict = Array.make n 0 in
   (* the arms interleave op by op, order alternating every pair, so GC
@@ -94,7 +95,7 @@ let run ?(n = 300_000) ?(sample = 4096) ?(config = default_config) ?json_dir
   let one_dict i =
     let k, v = pairs.(i) in
     let t0 = Telemetry.now_ns () in
-    Hyperion.Store.put store_dict (Compress.encode enc k) v;
+    Hyperion.Store.put store_dict k v;
     durs_dict.(i) <- Telemetry.now_ns () - t0
   in
   for i = 0 to n - 1 do
@@ -107,8 +108,8 @@ let run ?(n = 300_000) ?(sample = 4096) ?(config = default_config) ?json_dir
       one_id i
     end
   done;
-  (* point-lookup sweep, same interleaving; the dict arm encodes inside
-     the timed region *)
+  (* point-lookup sweep, same interleaving; the dict arm's store encodes
+     inside the timed region *)
   let gdurs_id = Array.make n 0 and gdurs_dict = Array.make n 0 in
   let get_id i =
     let k, _ = pairs.(i) in
@@ -119,7 +120,7 @@ let run ?(n = 300_000) ?(sample = 4096) ?(config = default_config) ?json_dir
   let get_dict i =
     let k, _ = pairs.(i) in
     let t0 = Telemetry.now_ns () in
-    ignore (Hyperion.Store.get store_dict (Compress.encode enc k));
+    ignore (Hyperion.Store.get store_dict k);
     gdurs_dict.(i) <- Telemetry.now_ns () - t0
   in
   for i = 0 to n - 1 do
@@ -132,19 +133,13 @@ let run ?(n = 300_000) ?(sample = 4096) ?(config = default_config) ?json_dir
       get_id i
     end
   done;
-  (* the encoded store must still hold every binding, decodably *)
+  (* the dict store must hand every binding back under its raw key *)
   Array.iter
     (fun k ->
-      match
-        Compress.decode enc (Compress.encode enc k)
-      with
-      | Ok k' when k' = k -> ()
-      | Ok k' ->
-          failwith
-            (Printf.sprintf "compress bench: %S decoded as %S" k k')
-      | Error why ->
-          failwith ("compress bench: round trip failed on " ^ k ^ ": " ^ why))
+      if Hyperion.Store.get store_dict k <> Hyperion.Store.get store_id k then
+        failwith ("compress bench: dict arm disagrees on " ^ k))
     sampled;
+  Hyperion.Store.iter store_dict (fun _ _ -> ());
   assert (Hyperion.Store.length store_dict = Hyperion.Store.length store_id);
   let sum_ns a = Array.fold_left ( + ) 0 a in
   let t_id = float_of_int (sum_ns durs_id) *. 1e-9 in

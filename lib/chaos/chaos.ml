@@ -31,35 +31,32 @@ let key_for id =
   | 3 -> "pfx/" ^ base
   | _ -> base ^ "!"
 
-let run ?(config = H.Config.default) ?(compress = Compress.Identity)
-    ?(plan = Fault.none) ?(validate_every = 1000) ?(key_space = 4096)
-    ?(heapcheck = true) ?on_op ?store ~seed ~ops () =
+(* Every mode draws its keys from [key_for] over at most 4096 ids, so a
+   run under [config.compress = 1] trains its dictionary on exactly that
+   closed universe. *)
+let codec config =
+  if config.H.Config.compress = 1 then
+    Compress.Dict (Compress.train (Seq.init 4096 key_for))
+  else Compress.Identity
+
+let run ?(config = H.Config.default) ?(plan = Fault.none)
+    ?(validate_every = 1000) ?(key_space = 4096) ?(heapcheck = true) ?on_op
+    ?store ~seed ~ops () =
   if ops < 0 then invalid_arg "Chaos.run: negative ops";
   if key_space <= 0 then invalid_arg "Chaos.run: key_space must be positive";
   if validate_every <= 0 then
     invalid_arg "Chaos.run: validate_every must be positive";
   let rng = Workload.Mt19937_64.create seed in
   let store =
-    match store with Some s -> s | None -> H.Store.create ~config ()
+    match store with
+    | Some s -> s
+    | None -> H.Store.create ~config ~compress:(codec config) ()
   in
   H.Store.set_fault_plan store plan;
-  (* The encoder sits where the shard/CLI front doors put it: the store
-     only ever sees encoded keys, the oracle only raw ones, and the final
-     sweep decodes on the way out — so the run also differentially tests
-     the encode/decode round trip under every fault the plan fires. *)
-  let enc_key = Compress.encode compress in
-  let dec_key op ek =
-    match Compress.decode compress ek with
-    | Ok k -> k
-    | Error why -> raise (Divergence (Printf.sprintf
-        "chaos seed=%Ld op=%d: stored key %S fails to decode: %s"
-        seed op ek why))
-  in
   let oracle = Rbtree.create () in
   (* A pre-existing (e.g. just-recovered) store seeds the oracle, so the
      differential run starts from agreement instead of a false divergence. *)
-  H.Store.iter store (fun ek v ->
-      let k = dec_key (-1) ek in
+  H.Store.iter store (fun k v ->
       match v with Some v -> Rbtree.put oracle k v | None -> Rbtree.add oracle k);
   let mutations_ok = ref 0
   and mutations_failed = ref 0
@@ -90,9 +87,8 @@ let run ?(config = H.Config.default) ?(compress = Compress.Identity)
           else key)
     in
     let width = 1 + Workload.Mt19937_64.next_below rng 32 in
-    let ekeys = Array.map enc_key keys in
-    let got = H.Store.get_many ~width store ekeys in
-    let mems = H.Store.mem_many ~width store ekeys in
+    let got = H.Store.get_many ~width store keys in
+    let mems = H.Store.mem_many ~width store keys in
     Array.iteri
       (fun i key ->
         let ov = Rbtree.get oracle key in
@@ -129,7 +125,7 @@ let run ?(config = H.Config.default) ?(compress = Compress.Identity)
     batch_audit op
   in
   let check_key op key =
-    let hv = H.Store.get store (enc_key key) and ov = Rbtree.get oracle key in
+    let hv = H.Store.get store key and ov = Rbtree.get oracle key in
     if hv <> ov then
       diverge op "lookup mismatch on %S: hyperion=%s oracle=%s" key
         (match hv with Some v -> Int64.to_string v | None -> "absent")
@@ -147,7 +143,7 @@ let run ?(config = H.Config.default) ?(compress = Compress.Identity)
       let dice = Workload.Mt19937_64.next_below rng 100 in
       (if dice < 55 then begin
          let v = Int64.of_int (Workload.Mt19937_64.next_below rng 1_000_000) in
-         match H.Store.put_result store (enc_key key) v with
+         match H.Store.put_result store key v with
          | Ok () ->
              incr mutations_ok;
              Rbtree.put oracle key v
@@ -157,7 +153,7 @@ let run ?(config = H.Config.default) ?(compress = Compress.Identity)
              check_key op key
        end
        else if dice < 75 then begin
-         match H.Store.delete_result store (enc_key key) with
+         match H.Store.delete_result store key with
          | Ok removed ->
              incr mutations_ok;
              let oracle_removed = Rbtree.delete oracle key in
@@ -184,8 +180,8 @@ let run ?(config = H.Config.default) ?(compress = Compress.Identity)
         true);
     let expected = ref (List.rev !expected) in
     let sweep_pos = ref 0 in
-    H.Store.range store (fun ek v ->
-        let k = dec_key ops ek in
+    (* a stored key that fails to decode raises Chunk_corrupt *)
+    H.Store.range store (fun k v ->
         (match !expected with
         | [] -> diverge ops "sweep: extra key %S in hyperion" k
         | (ek, ev) :: rest ->
@@ -208,7 +204,11 @@ let run ?(config = H.Config.default) ?(compress = Compress.Identity)
         saturation_errors = !saturation_errors;
         final_keys = H.Store.length store;
       }
-  with Divergence msg -> Error msg
+  with
+  | Divergence msg -> Error msg
+  | H.Hyperion_error.Error e ->
+      Error
+        (Printf.sprintf "chaos seed=%Ld: %s" seed (H.Hyperion_error.to_string e))
 
 (* --- sharded chaos: concurrent clients over the multi-domain front-end *)
 
@@ -557,10 +557,10 @@ let run_sharded ?(config = H.Config.default) ?(shards = 4) ?clients
   Option.iter wipe_tree crash_dir;
   let opened =
     match crash_dir with
-    | None -> Ok (Hyperion_shard.create ~config ~shards ())
+    | None -> Ok (Hyperion_shard.create ~config ~compress:(codec config) ~shards ())
     | Some d ->
-        Hyperion_shard.open_durable ~config ~shards ~sync_every_ops:16
-          ~rotate_bytes:8192 d
+        Hyperion_shard.open_durable ~config ~compress:(codec config) ~shards
+          ~sync_every_ops:16 ~rotate_bytes:8192 d
   in
   match opened with
   | Error e -> fail "open: %s" (err_to_string e)
@@ -774,7 +774,8 @@ let run_crash ?(config = H.Config.default) ?(key_space = 2048)
   in
   let err_to_string = H.Hyperion_error.to_string in
   match
-    Persist.open_or_create ~config ~sync_every_ops ~rotate_bytes dir
+    Persist.open_or_create ~config ~compress:(codec config) ~sync_every_ops
+      ~rotate_bytes dir
   with
   | Error e -> fail "initial open: %s" (err_to_string e)
   | Ok p -> (
@@ -1039,7 +1040,10 @@ let run_diskfault ?(config = H.Config.default) ?(key_space = 2048)
     injected := !injected + Fault.fired_count (Io.plan io);
     Io.disarm io
   in
-  match Persist.open_or_create ~config ~io ~sync_every_ops ~rotate_bytes dir with
+  match
+    Persist.open_or_create ~config ~compress:(codec config) ~io ~sync_every_ops
+      ~rotate_bytes dir
+  with
   | Error e -> fail "initial open: %s" (err_to_string e)
   | Ok p -> (
       arm ();
@@ -1519,8 +1523,8 @@ let run_sharded_diskfault ?(config = H.Config.default) ?(shards = 4) ?clients
   in
   let retire_all () = Array.iteri (fun i _ -> retire i) ios in
   match
-    Hyperion_shard.open_durable ~config ~shards ~sync_every_ops:16
-      ~rotate_bytes:8192 ~io_for_shard:(fun i -> ios.(i)) dir
+    Hyperion_shard.open_durable ~config ~compress:(codec config) ~shards
+      ~sync_every_ops:16 ~rotate_bytes:8192 ~io_for_shard:(fun i -> ios.(i)) dir
   with
   | Error e -> fail "open: %s" (err_to_string e)
   | Ok store -> (

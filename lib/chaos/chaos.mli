@@ -26,13 +26,16 @@ val pp_outcome : Format.formatter -> outcome -> unit
 
 val key_for : int -> string
 (** The deterministic key the workload derives from id [i] — a mix of
-    short, suffixed and prefixed shapes.  Exposed so a key-compression
-    dictionary can be trained on exactly the closed key universe a run
-    will generate ([hyperion_cli chaos --compress]). *)
+    short, suffixed and prefixed shapes. *)
+
+val codec : Hyperion.Config.t -> Compress.t
+(** The codec every mode runs under: [Identity] for [config.compress =
+    0]; for [1], a dictionary trained on the closed key universe
+    [Seq.init 4096 key_for] that every mode draws from.  Deterministic,
+    so a reopened directory verifies against the same dictionary. *)
 
 val run :
   ?config:Hyperion.Config.t ->
-  ?compress:Compress.t ->
   ?plan:Fault.t ->
   ?validate_every:int ->
   ?key_space:int ->
@@ -65,13 +68,11 @@ val run :
     a progress hook, e.g. for periodic telemetry dumps ([hyperion_cli
     chaos --metrics-every]).
 
-    [?compress] (default identity) threads an order-preserving key encoder
-    between the workload and the store, exactly where the shard and CLI
-    front doors put it: every store operation sees encoded keys, the
-    oracle keeps raw ones, and the final ordered sweep decodes each stored
-    key on the way out — a decode failure or order divergence fails the
-    run like any other mismatch.  The caller is responsible for [config]
-    agreeing ([config.compress = Compress.id compress]). *)
+    Under [config.compress = 1] the store runs with {!codec}'s
+    dictionary (a passed [?store] keeps its own codec): the oracle holds
+    user keys, the store encodes beneath its interface, and a stored key
+    that fails to decode in the final sweep fails the run like any other
+    mismatch. *)
 
 (** {1 Sharded chaos}
 

@@ -1,10 +1,11 @@
 (** Order-preserving key compression (HOPE-style, arXiv 2003.02391).
 
-    A pluggable encoder stage that sits {e above} the trie: keys are
-    encoded once at the front door (shard / CLI / persist), every layer
-    below — Store descent, WAL records, snapshot records, shard routing —
-    operates on encoded bytes, and keys are decoded again on the way out
-    ([iter]/[fold]/range exposure).
+    The key codec a {!Hyperion.Store.t} owns, beneath its interface
+    ({!Hyperion.Store.create}[ ~compress]): the store encodes every user
+    key into its stored form — what the trie, snapshot records and WAL
+    records hold — and decodes keys again on the way out (range/iter).
+    Layers above the store pass user keys; shard routing only reads
+    {!first_byte}.
 
     Two schemes:
     - {b identity} (id 0): the no-op encoder; [encode]/[decode] return the
@@ -79,7 +80,7 @@ val max_code_bits : int
 (** {1 Encoding} *)
 
 val encode : t -> string -> string
-(** [encode e key] is the key as stored below the front door.  Identity
+(** [encode e key] is the key's stored form.  Identity
     returns [key] itself (no copy).  Worst-case dict expansion is
     [max_code_bits / 8] times; typical trained-corpus output is 30–50%
     {e shorter}. *)

@@ -46,15 +46,12 @@ type t = {
       (** Delta-encode sibling key bytes (Section 3.3).  Default true;
           disabled only by the ablation benchmarks. *)
   compress : int;
-      (** Order-preserving key-encoder scheme id this store's keys were
-          encoded with {e before} reaching the trie: 0 = identity
-          (default), 1 = trained dictionary ({!Compress}).  The store
-          itself never encodes or decodes — front doors (shard, persist,
-          CLI) do — but the id is part of the config contract and of
-          persisted fingerprints so a snapshot can never be reopened
-          under the wrong encoder.  Scheme 1 additionally mixes the
-          dictionary hash into persisted fingerprints (see
-          {!Compress.mix_fingerprint}). *)
+      (** Scheme id of the order-preserving key codec the store owns: 0 =
+          identity (default), 1 = trained dictionary ({!Compress}), which
+          {!Store.create} must then be given.  The id is part of persisted
+          fingerprints so a snapshot can never be reopened under the wrong
+          codec; scheme 1 additionally mixes the dictionary hash into them
+          (see {!Compress.mix_fingerprint}). *)
 }
 
 val default : t

@@ -6,6 +6,7 @@ type t =
   | Chunk_corrupt of string
   | Empty_key
   | Key_too_long of int
+  | Key_too_short of int
   | Corrupt_snapshot of string
   | Torn_log of string
   | Version_mismatch of { found : int; expected : int }
@@ -27,6 +28,8 @@ let to_string = function
   | Chunk_corrupt what -> Printf.sprintf "corrupt chunk: %s" what
   | Empty_key -> "empty keys are not supported"
   | Key_too_long n -> Printf.sprintf "key of %d bytes exceeds the 2^20 limit" n
+  | Key_too_short n ->
+      Printf.sprintf "key of %d bytes is below the 4-byte pre-processing minimum" n
   | Corrupt_snapshot what -> Printf.sprintf "corrupt snapshot: %s" what
   | Torn_log what -> Printf.sprintf "torn write-ahead log: %s" what
   | Version_mismatch { found; expected } ->

@@ -23,6 +23,9 @@ type t =
           faults). *)
   | Empty_key  (** Hyperion does not store the empty key. *)
   | Key_too_long of int  (** Key length exceeds 2^20 bytes. *)
+  | Key_too_short of int
+      (** The store pre-processes keys (paper §3.4) and the key's stored
+          form is shorter than the 4 bytes that transform needs. *)
   | Corrupt_snapshot of string
       (** A persisted snapshot failed structural validation (bad magic,
           CRC mismatch, short read, count mismatch, or a config

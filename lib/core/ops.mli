@@ -50,6 +50,9 @@ val put_checked :
     errors ([Empty_key], [Key_too_long]) — routed through the typed result
     channel instead of exceptions. *)
 
+val max_key_len : int
+(** 2{^20}: the longest key a trie stores. *)
+
 val key_error : string -> Hyperion_error.t option
 (** The typed validation error for a key, if any. *)
 

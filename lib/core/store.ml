@@ -1,5 +1,6 @@
 type t = {
   cfg : Config.t;
+  codec : Compress.t;  (** the dictionary stage of the key transform *)
   mms : Memman.t array;  (** one per arena *)
   locks : Mutex.t array;  (** one per arena *)
   tries : Types.trie array;  (** 1, or 256 routed by first key byte *)
@@ -36,8 +37,13 @@ let m_get_many =
 let m_mem_many =
   T.Histogram.make "hyperion_op_latency_ns" ~labels:[ ("op", "mem_many") ]
 
-let create ?(config = Config.default) () =
+let create ?(config = Config.default) ?(compress = Compress.Identity) () =
   Config.validate config;
+  if Compress.id compress <> config.compress then
+    invalid_arg
+      (Printf.sprintf
+         "Store.create: config.compress = %d but the %s codec was passed"
+         config.compress (Compress.name compress));
   let mms =
     Array.init config.arenas (fun _ ->
         Memman.create ~chunks_per_bin:config.chunks_per_bin
@@ -53,13 +59,59 @@ let create ?(config = Config.default) () =
           root = Hp.null;
         })
   in
-  { cfg = config; mms; locks; tries;
+  { cfg = config; codec = compress; mms; locks; tries;
     counts = Array.init n_tries (fun _ -> Atomic.make 0) }
 
 let create_default () = create ()
 let config t = t.cfg
+let codec t = t.codec
 
-let xform t key = if t.cfg.preprocess then Preprocess.encode key else key
+(* --- the key transform ------------------------------------------------ *)
+
+(* A user key reaches the trie through two stages: the dictionary codec
+   turns it into its {e stored} form (what snapshots and WAL records
+   hold), and the optional §3.4 pre-processing turns that into the trie
+   form.  [of_key] is the one validator every entry point shares: the raw
+   key must be non-empty and within the cap, and [check_stored] — which
+   also vets bytes read back from disk — requires the stored form to
+   survive pre-processing (>= 4 bytes) with a trie form within the cap. *)
+let check_stored t stored =
+  let n = String.length stored in
+  if t.cfg.preprocess then
+    if n < 4 then Error (Hyperion_error.Key_too_short n)
+    else if n >= Ops.max_key_len then Error (Hyperion_error.Key_too_long (n + 1))
+    else Ok stored
+  else if n = 0 then Error Hyperion_error.Empty_key
+  else if n > Ops.max_key_len then Error (Hyperion_error.Key_too_long n)
+  else Ok stored
+
+let of_key t key =
+  match Ops.key_error key with
+  | Some e -> Error e
+  | None -> check_stored t (Compress.encode t.codec key)
+
+let trie_key t stored = if t.cfg.preprocess then Preprocess.encode stored else stored
+
+(* Reads and the exception API reject exactly the keys [of_key] rejects,
+   as [Invalid_argument]. *)
+let read_key t key =
+  match of_key t key with
+  | Ok stored -> trie_key t stored
+  | Error Hyperion_error.Empty_key -> invalid_arg "Hyperion: empty key"
+  | Error e -> invalid_arg ("Hyperion: " ^ Hyperion_error.to_string e)
+
+let stored_of_trie t tk = if t.cfg.preprocess then Preprocess.decode tk else tk
+
+let user_key t tk =
+  let stored = stored_of_trie t tk in
+  match t.codec with
+  | Compress.Identity -> stored
+  | Compress.Dict _ -> (
+      match Compress.decode t.codec stored with
+      | Ok k -> k
+      | Error why ->
+          Hyperion_error.fail
+            (Hyperion_error.Chunk_corrupt ("stored key fails to decode: " ^ why)))
 
 let route t key =
   if Array.length t.tries = 1 then 0 else Char.code key.[0]
@@ -71,8 +123,7 @@ let with_arena t idx f =
 [@@lock_wrapper "Store.t.locks"]
 
 let put_opt t key value =
-  let key = xform t key in
-  if String.length key = 0 then invalid_arg "Hyperion: empty key";
+  let key = read_key t key in
   let i = route t key in
   with_arena t i (fun () ->
       if Ops.put t.tries.(i) key value then Atomic.incr t.counts.(i))
@@ -99,14 +150,14 @@ let add t key =
   end
   else put_opt t key None
 
-let get_u t key =
-  let key = xform t key in
-  if String.length key = 0 then invalid_arg "Hyperion: empty key";
+let find_trie t key =
   let i = route t key in
-  with_arena t i (fun () ->
-      match Ops.find t.tries.(i) key with
-      | Some (Some v) -> Some v
-      | Some None | None -> None)
+  with_arena t i (fun () -> Ops.find t.tries.(i) key)
+
+let get_u t key =
+  match find_trie t (read_key t key) with
+  | Some (Some v) -> Some v
+  | Some None | None -> None
 
 let get t key =
   if T.enabled () then begin
@@ -117,34 +168,15 @@ let get t key =
   end
   else get_u t key
 
-let mem t key =
-  let key = xform t key in
-  if String.length key = 0 then invalid_arg "Hyperion: empty key";
-  let i = route t key in
-  with_arena t i (fun () -> Ops.find t.tries.(i) key <> None)
+let mem t key = find_trie t (read_key t key) <> None
 
 (* --- batched reads -------------------------------------------------- *)
 
-(* Validate before touching any trie so a batch either runs whole or
-   raises without partial effects — reads have none anyway, but this
-   keeps [get_many keys = Array.map (get t) keys] exact even on the
-   raising cases: the empty check mirrors [get_u]'s, the length check
-   mirrors [Ops.find]'s (both on the post-[xform] key). *)
-let validate_batch ekeys =
-  Array.iter
-    (fun k ->
-      if String.length k = 0 then invalid_arg "Hyperion: empty key";
-      if Ops.key_error k <> None then
-        invalid_arg "Hyperion: key longer than 2^20 bytes")
-    ekeys
-
 let find_many_u ?width t keys =
   let n = Array.length keys in
-  (* the identity xform needs no per-batch copy *)
-  let ekeys =
-    if t.cfg.preprocess then Array.map (xform t) keys else keys
-  in
-  validate_batch ekeys;
+  (* every key is validated before any trie is touched, so a batch either
+     runs whole or raises like the first invalid [get] would *)
+  let ekeys = Array.map (read_key t) keys in
   if Array.length t.tries = 1 then
     with_arena t 0 (fun () -> Getmany.find_many ?width t.tries.(0) ekeys)
   else begin
@@ -198,8 +230,7 @@ let mem_many ?width t keys =
   else body ()
 
 let delete_u t key =
-  let key = xform t key in
-  if String.length key = 0 then invalid_arg "Hyperion: empty key";
+  let key = read_key t key in
   let i = route t key in
   with_arena t i (fun () ->
       let removed = Ops.delete t.tries.(i) key in
@@ -215,21 +246,17 @@ let delete t key =
   end
   else delete_u t key
 
-let range t ?start f =
-  let start = Option.map (xform t) start in
-  let wrap key value =
-    let key = if t.cfg.preprocess then Preprocess.decode key else key in
-    f key value
-  in
+(* Ordered iteration over trie-form keys, from a trie-form [start]. *)
+let range_trie t ?start f =
   let n = Array.length t.tries in
   if n = 1 then
-    with_arena t 0 (fun () -> Range.range t.tries.(0) ?start wrap)
+    with_arena t 0 (fun () -> Range.range t.tries.(0) ?start f)
   else begin
     (* Tries are routed by first key byte, so visiting them in index order
        preserves the global key order. *)
     let stop = ref false in
-    let wrap' key value =
-      let continue = wrap key value in
+    let f' key value =
+      let continue = f key value in
       if not continue then stop := true;
       continue
     in
@@ -238,68 +265,84 @@ let range t ?start f =
     while (not !stop) && !i < n do
       let idx = !i in
       let bound = if idx = first then start else None in
-      with_arena t idx (fun () -> Range.range t.tries.(idx) ?start:bound wrap');
+      with_arena t idx (fun () -> Range.range t.tries.(idx) ?start:bound f');
       incr i
     done
   end
+
+let range t ?start f =
+  let start = Option.map (fun s -> trie_key t (Compress.encode t.codec s)) start in
+  range_trie t ?start (fun key value -> f (user_key t key) value)
 
 let length t = Array.fold_left (fun acc c -> acc + Atomic.get c) 0 t.counts
 
 (* --- typed-result mutation API ------------------------------------- *)
 
-let put_result_opt_u t key value =
-  match Ops.key_error key with
-  | Some e -> Error e
-  | None ->
-      let key = xform t key in
-      let i = route t key in
-      with_arena t i (fun () ->
-          match Ops.put_checked t.tries.(i) key value with
-          | Ok added ->
-              if added then Atomic.incr t.counts.(i);
-              Ok ()
-          | Error _ as e -> e)
+let put_stored_u t stored value =
+  let key = trie_key t stored in
+  let i = route t key in
+  with_arena t i (fun () ->
+      match Ops.put_checked t.tries.(i) key value with
+      | Ok added ->
+          if added then Atomic.incr t.counts.(i);
+          Ok ()
+      | Error _ as e -> e)
 
 (* The typed-result paths feed the same histograms as the raising ones:
    these are what the WAL-logged and sharded front-ends call, so sharded
    benches and chaos runs surface their latencies under the same names. *)
-let put_result_opt t key value =
+let put_stored t stored value =
   if T.enabled () then begin
     let t0 = T.op_start () in
-    let r = put_result_opt_u t key value in
+    let r = put_stored_u t stored value in
     let m, kind =
       match value with Some _ -> (m_put, "put") | None -> (m_add, "add")
     in
-    T.op_end m ~kind ~key_len:(String.length key) t0;
+    T.op_end m ~kind ~key_len:(String.length stored) t0;
     r
   end
-  else put_result_opt_u t key value
+  else put_stored_u t stored value
 
-let put_opt_result = put_result_opt
-let put_result t key value = put_result_opt t key (Some value)
-let add_result t key = put_result_opt t key None
+let delete_stored_u t stored =
+  let key = trie_key t stored in
+  let i = route t key in
+  with_arena t i (fun () ->
+      match Ops.delete t.tries.(i) key with
+      | removed ->
+          if removed then Atomic.decr t.counts.(i);
+          Ok removed
+      | exception Hyperion_error.Error e -> Error e)
 
-let delete_result_u t key =
-  match Ops.key_error key with
-  | Some e -> Error e
-  | None ->
-      let key = xform t key in
-      let i = route t key in
-      with_arena t i (fun () ->
-          match Ops.delete t.tries.(i) key with
-          | removed ->
-              if removed then Atomic.decr t.counts.(i);
-              Ok removed
-          | exception Hyperion_error.Error e -> Error e)
-
-let delete_result t key =
+let delete_stored t stored =
   if T.enabled () then begin
     let t0 = T.op_start () in
-    let r = delete_result_u t key in
-    T.op_end m_delete ~kind:"delete" ~key_len:(String.length key) t0;
+    let r = delete_stored_u t stored in
+    T.op_end m_delete ~kind:"delete" ~key_len:(String.length stored) t0;
     r
   end
-  else delete_result_u t key
+  else delete_stored_u t stored
+
+let put_opt_result t key value = Result.bind (of_key t key) (fun k -> put_stored t k value)
+let put_result t key value = put_opt_result t key (Some value)
+let add_result t key = put_opt_result t key None
+
+let delete_result t key = Result.bind (of_key t key) (delete_stored t)
+
+module Stored = struct
+  type store = t
+  type t = string
+
+  let of_key = of_key
+  let of_bytes = check_stored
+  let put = put_stored
+  let delete = delete_stored
+  let mem (s : store) stored = find_trie s (trie_key s stored) <> None
+
+  let iter (s : store) f =
+    range_trie s (fun key value ->
+        f (stored_of_trie s key) value;
+        true)
+end
 
 (* --- fault injection and saturation -------------------------------- *)
 

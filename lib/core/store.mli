@@ -6,18 +6,36 @@
     {!Kvcommon.Key_codec}); values are 64-bit words.  Keys can also be
     stored without a value (type-10 terminals, set semantics).
 
-    When [config.preprocess] is on, keys are transparently transformed with
-    {!Preprocess} on the way in and restored on the way out. *)
+    {b The key codec.}  Every entry point takes and returns {e user} keys.
+    Underneath, the store's order-preserving dictionary codec
+    ({!Compress}, passed to {!create}) maps a key to its {e stored} form
+    — the bytes snapshot and WAL records hold — and, when
+    [config.preprocess] is on, the paper's §3.4 pre-processing
+    ({!Preprocess}) maps that to the trie form.  Iteration undoes both.
+    One validator ({!Stored.of_key}) decides which keys every entry point
+    accepts: the raw key and its stored form must be non-empty and at
+    most 2{^20} bytes, and with pre-processing the stored form must be at
+    least 4 bytes.  The result API returns its typed error; reads and the
+    exception API raise [Invalid_argument] on exactly the same keys. *)
 
 type t
 
 val name : string
 
-val create : ?config:Config.t -> unit -> t
+val create : ?config:Config.t -> ?compress:Compress.t -> unit -> t
+(** [create ~config ~compress ()] is an empty store whose keys pass
+    through [compress] (default [Identity]).
+    @raise Invalid_argument when [Compress.id compress <> config.compress]
+    — in particular when [config.compress = 1] and no trained dictionary
+    is passed. *)
+
 val create_default : unit -> t
 (** [create_default ()] is [create ()] — the {!Kv_intf} creation hook. *)
 
 val config : t -> Config.t
+
+val codec : t -> Compress.t
+(** The dictionary codec this store's keys are stored under. *)
 
 val put : t -> string -> int64 -> unit
 val add : t -> string -> unit
@@ -41,7 +59,8 @@ val delete : t -> string -> bool
 val get_many : ?width:int -> t -> string array -> int64 option array
 (** [get_many t keys] is observably [Array.map (get t) keys],
     positionally (duplicates included).  Keys are validated up front, so
-    an invalid key raises before any trie is touched. *)
+    an invalid key raises [Invalid_argument] before any trie is
+    touched. *)
 
 val mem_many : ?width:int -> t -> string array -> bool array
 (** [mem_many t keys] is observably [Array.map (mem t) keys]. *)
@@ -58,11 +77,35 @@ val put_result : t -> string -> int64 -> (unit, Hyperion_error.t) result
 val add_result : t -> string -> (unit, Hyperion_error.t) result
 val delete_result : t -> string -> (bool, Hyperion_error.t) result
 
-val put_opt_result : t -> string -> int64 option -> (unit, Hyperion_error.t) result
-(** [put_opt_result t key v] is [put_result] when [v = Some _] and
-    [add_result] when [v = None] — the shape {!iter} hands out, so snapshot
-    load and WAL replay can reinsert any binding (valued or type-10)
-    uniformly. *)
+(** {1 The stored-key door}
+
+    Persistence works on stored keys, so records hold the encoded bytes
+    and recovery needs neither retraining nor re-encoding. *)
+
+module Stored : sig
+  type store := t
+
+  type t = private string
+  (** A validated key, dictionary-encoded, before pre-processing. *)
+
+  val of_key : store -> string -> (t, Hyperion_error.t) result
+  (** The one key validator: [Empty_key] or [Key_too_long] for the raw
+      key or its stored form, [Key_too_short] for a stored form under 4
+      bytes when pre-processing is on. *)
+
+  val of_bytes : store -> string -> (t, Hyperion_error.t) result
+  (** Bytes read back from a snapshot or WAL record, checked by the same
+      rules. *)
+
+  val put : store -> t -> int64 option -> (unit, Hyperion_error.t) result
+  (** Insert; [None] stores the key without a value. *)
+
+  val delete : store -> t -> (bool, Hyperion_error.t) result
+  val mem : store -> t -> bool
+
+  val iter : store -> (t -> int64 option -> unit) -> unit
+  (** Every binding in ascending key order, keys in stored form. *)
+end
 
 (** {1 Fault injection and saturation} *)
 
@@ -79,7 +122,9 @@ val saturated_arenas : t -> int
     Saturation is sticky until a delete frees memory in that arena. *)
 
 val range : t -> ?start:string -> (string -> int64 option -> bool) -> unit
-(** Ordered callback iteration from [start] (paper's range queries). *)
+(** Ordered callback iteration from [start] (paper's range queries).  A
+    stored key that fails to decode under the store's dictionary raises
+    [Hyperion_error.Error (Chunk_corrupt _)]. *)
 
 val length : t -> int
 (** Number of stored keys.  Safe under concurrent mutators: the per-trie

@@ -74,6 +74,7 @@ type err_code =
   | E_degraded  (** 12 *)
   | E_overloaded  (** 13 *)
   | E_shard_down  (** 14 *)
+  | E_key_too_short  (** 15 *)
   | E_bad_request  (** 100: malformed frame, unknown opcode, bad key *)
   | E_too_large  (** 101: frame or batch beyond the protocol bounds *)
   | E_internal  (** 102: unexpected server-side exception *)

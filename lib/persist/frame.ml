@@ -18,6 +18,16 @@ let make_header ~magic ~version ~flags ~fingerprint ~aux =
 type header = { version : int; flags : int; fingerprint : int64; aux : int64 }
 type header_error = Short | Bad_magic | Bad_crc
 
+let fingerprint config codec =
+  Compress.mix_fingerprint (Hyperion.Config.fingerprint config) codec
+
+(* flags bit 0 = preprocess, bits 1-2 = codec scheme id *)
+let store_header ~magic ~version ~aux store =
+  let config = Hyperion.Store.config store and codec = Hyperion.Store.codec store in
+  make_header ~magic ~version
+    ~flags:((if config.Hyperion.Config.preprocess then 1 else 0) lor (Compress.id codec lsl 1))
+    ~fingerprint:(fingerprint config codec) ~aux
+
 let parse_header ~magic b =
   if Bytes.length b < header_size then Error Short
   else if Bytes.sub_string b 0 8 <> magic then Error Bad_magic

@@ -5,8 +5,8 @@
     {v
       0  magic            8 bytes   ("HYPSNAP\x01" / "HYPWAL\x00\x01")
       8  format version   u16 LE
-      10 flags            u16 LE    (bit 0: preprocess)
-      12 config fingerprint u64 LE  ({!Hyperion.Config.fingerprint})
+      10 flags            u16 LE    (bit 0: preprocess, bits 1-2: codec id)
+      12 fingerprint      u64 LE    (see {!fingerprint})
       20 aux              u64 LE    (snapshot: key count; WAL: generation)
       28 CRC-32 of bytes [0, 28)    u32 LE
     v}
@@ -25,6 +25,16 @@ val max_payload : int
 val make_header :
   magic:string -> version:int -> flags:int -> fingerprint:int64 -> aux:int64 ->
   Bytes.t
+
+val fingerprint : Hyperion.Config.t -> Compress.t -> int64
+(** {!Compress.mix_fingerprint} of {!Hyperion.Config.fingerprint}: the
+    identity codec leaves the config fingerprint unchanged, so files
+    written before key compression existed still verify. *)
+
+val store_header : magic:string -> version:int -> aux:int64 -> Hyperion.Store.t -> Bytes.t
+(** The header of a file holding [store]'s stored keys: its config's
+    preprocess flag and codec id in the flags, {!fingerprint} of its
+    config and codec. *)
 
 type header = { version : int; flags : int; fingerprint : int64; aux : int64 }
 

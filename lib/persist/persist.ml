@@ -57,7 +57,6 @@ type recovery = {
 type t = {
   dir : string;
   cfg : Hyperion.Config.t;
-  enc : Compress.t;  (* the encoder this directory's keys are encoded with *)
   store : Hyperion.Store.t;
   io : Io.t;
   sync_every_ops : int;
@@ -85,7 +84,6 @@ let with_lock t f =
 
 let store t = t.store
 let config t = t.cfg
-let compress t = t.enc
 let dir t = t.dir
 let io t = t.io
 let recovery t = t.recovery
@@ -120,44 +118,56 @@ let scan_generations dir =
     (Sys.readdir dir);
   (List.sort (fun a b -> compare b a) !snaps, !tmps)
 
-let fresh_generation ~io ~config ~compress ~dir ~gen =
-  let store = Hyperion.Store.create ~config () in
-  let* _bytes = Snapshot.save ~io ~compress store (snapshot_file ~dir ~gen) in
-  let* wal = Wal.create ~io ~compress ~config ~gen (wal_file ~dir ~gen) in
+module Stored = Hyperion.Store.Stored
+
+let fresh_generation ~io ~config ~codec ~dir ~gen =
+  let store = Hyperion.Store.create ~config ~compress:codec () in
+  let* _bytes = Snapshot.save ~io store (snapshot_file ~dir ~gen) in
+  let* wal = Wal.create ~io ~store ~gen (wal_file ~dir ~gen) in
   Ok (store, wal)
 
-let recover_generation ~io ~config ?expect ~dir ~gen () =
-  let* store, enc = Snapshot.load ~io ?expect ~config (snapshot_file ~dir ~gen) in
+(* [expect], when given, must equal the persisted codec: checked before
+   any WAL record is replayed. *)
+let recover_generation ~io ~config ~expect ~dir ~gen =
+  let* store = Snapshot.load ~io ~config (snapshot_file ~dir ~gen) in
+  let codec = Hyperion.Store.codec store in
+  let* () =
+    match expect with
+    | Some e when not (Compress.equal e codec) ->
+        Error
+          (E.Version_mismatch
+             { found = Compress.tag codec; expected = Compress.tag e })
+    | _ -> Ok ()
+  in
   let keys = Hyperion.Store.length store in
   let wpath = wal_file ~dir ~gen in
   if not (Sys.file_exists wpath) then
     (* crash between snapshot rename and WAL creation: the snapshot alone
        is the complete durable state *)
-    let* wal = Wal.create ~io ~compress:enc ~config ~gen wpath in
-    Ok (store, enc, wal, keys, 0, false)
+    let* wal = Wal.create ~io ~store ~gen wpath in
+    Ok (store, wal, keys, 0, false)
   else
     let apply op =
+      let key = match op with Wal.Put (k, _) | Wal.Add k | Wal.Delete k -> k in
       let r =
-        match op with
-        | Wal.Put (k, v) -> Hyperion.Store.put_result store k v
-        | Wal.Add k -> Hyperion.Store.add_result store k
-        | Wal.Delete k -> (
-            match Hyperion.Store.delete_result store k with
-            | Ok _ -> Ok ()
-            | Error _ as e -> e)
+        Result.bind (Stored.of_bytes store key) (fun k ->
+            match op with
+            | Wal.Put (_, v) -> Stored.put store k (Some v)
+            | Wal.Add _ -> Stored.put store k None
+            | Wal.Delete _ -> Result.map ignore (Stored.delete store k))
       in
       if T.enabled () && r = Ok () then T.Counter.incr c_replayed;
       r
     in
-    match Wal.replay ~io ~compress:enc ~config ~gen wpath ~f:apply with
+    match Wal.replay ~io ~store ~gen wpath ~f:apply with
     | Ok r ->
-        let* wal = Wal.open_append ~io ~config ~gen wpath in
-        Ok (store, enc, wal, keys, r.Wal.records, r.Wal.truncated)
+        let* wal = Wal.open_append ~io wpath in
+        Ok (store, wal, keys, r.Wal.records, r.Wal.truncated)
     | Error (E.Torn_log _) ->
         (* the header never became durable, so no record in this file was
            ever acknowledged: restart it empty *)
-        let* wal = Wal.create ~io ~compress:enc ~config ~gen wpath in
-        Ok (store, enc, wal, keys, 0, true)
+        let* wal = Wal.create ~io ~store ~gen wpath in
+        Ok (store, wal, keys, 0, true)
     | Error _ as e -> e
 
 let open_or_create ?(config = Hyperion.Config.default) ?compress
@@ -168,18 +178,10 @@ let open_or_create ?(config = Hyperion.Config.default) ?compress
     invalid_arg "Persist: sync_every_bytes must be >= 1";
   if rotate_bytes < Frame.header_size then
     invalid_arg "Persist: rotate_bytes too small";
-  (match compress with
-  | Some e when Compress.id e <> config.Hyperion.Config.compress ->
-      invalid_arg
-        (Printf.sprintf
-           "Persist: config.compress = %d but the %s encoder was passed"
-           config.Hyperion.Config.compress (Compress.name e))
-  | _ -> ());
-  let make ~gen ~enc ~wal ~store recovery =
+  let make ~gen ~wal ~store recovery =
     {
       dir;
       cfg = config;
-      enc;
       store;
       io;
       sync_every_ops;
@@ -211,7 +213,7 @@ let open_or_create ?(config = Hyperion.Config.default) ?compress
       | exception e -> Io.error ~path:dir e
       | [], tmps ->
           List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) tmps;
-          let* enc =
+          let* codec =
             match compress with
             | Some e -> Ok e
             | None ->
@@ -226,9 +228,9 @@ let open_or_create ?(config = Hyperion.Config.default) ?compress
                       ^ ": config.compress selects the dict encoder but the \
                          directory is fresh and no dictionary was passed"))
           in
-          let* store, wal = fresh_generation ~io ~config ~compress:enc ~dir ~gen:0 in
+          let* store, wal = fresh_generation ~io ~config ~codec ~dir ~gen:0 in
           Ok
-            (make ~gen:0 ~enc ~wal ~store
+            (make ~gen:0 ~wal ~store
                {
                  generation = 0;
                  snapshot_keys = 0;
@@ -257,10 +259,10 @@ let open_or_create ?(config = Hyperion.Config.default) ?compress
                          (Printf.sprintf
                             "no snapshot generations to recover in %s" dir)))
             | gen :: rest -> (
-                match recover_generation ~io ~config ?expect:compress ~dir ~gen () with
-                | Ok (store, enc, wal, keys, replayed, truncated) ->
+                match recover_generation ~io ~config ~expect:compress ~dir ~gen with
+                | Ok (store, wal, keys, replayed, truncated) ->
                     Ok
-                      (make ~gen ~enc ~wal ~store
+                      (make ~gen ~wal ~store
                          {
                            generation = gen;
                            snapshot_keys = keys;
@@ -339,14 +341,8 @@ let do_sync t =
 let do_rotate_u t =
   let* () = do_sync t in
   let next = t.gen + 1 in
-  let* _bytes =
-    Snapshot.save ~io:t.io ~compress:t.enc t.store
-      (snapshot_file ~dir:t.dir ~gen:next)
-  in
-  let* wal =
-    Wal.create ~io:t.io ~compress:t.enc ~config:t.cfg ~gen:next
-      (wal_file ~dir:t.dir ~gen:next)
-  in
+  let* _bytes = Snapshot.save ~io:t.io t.store (snapshot_file ~dir:t.dir ~gen:next) in
+  let* wal = Wal.create ~io:t.io ~store:t.store ~gen:next (wal_file ~dir:t.dir ~gen:next) in
   let old_wal = t.wal and old_gen = t.gen in
   t.wal <- wal;
   t.gen <- next;
@@ -440,34 +436,35 @@ let guard_mut t f =
       match reject_if_degraded t with Some e -> Error e | None -> f ())
 [@@lock_wrapper "Persist.t.lock"]
 
-let put t key v =
+(* The key is validated and encoded once, before anything is logged:
+   the record holds the stored key and the store applies that same key,
+   so a key the store would refuse never reaches the log. *)
+let with_stored t key f =
   guard_mut t (fun () ->
-      match Hyperion.Ops.key_error key with
-      | Some e -> Error e
-      | None ->
-          log_then_apply t (Wal.Put (key, v)) ~apply:(fun () ->
-              Hyperion.Store.put_result t.store key v))
+      match Stored.of_key t.store key with
+      | Error _ as e -> e
+      | Ok k -> f k)
+[@@lock_wrapper "Persist.t.lock"]
+
+let put t key v =
+  with_stored t key (fun k ->
+      log_then_apply t (Wal.Put ((k :> string), v)) ~apply:(fun () ->
+          Stored.put t.store k (Some v)))
 
 let add t key =
-  guard_mut t (fun () ->
-      match Hyperion.Ops.key_error key with
-      | Some e -> Error e
-      | None ->
-          log_then_apply t (Wal.Add key) ~apply:(fun () ->
-              Hyperion.Store.add_result t.store key))
+  with_stored t key (fun k ->
+      log_then_apply t (Wal.Add (k :> string)) ~apply:(fun () ->
+          Stored.put t.store k None))
 
 let delete t key =
-  guard_mut t (fun () ->
-      match Hyperion.Ops.key_error key with
-      | Some e -> Error e
-      | None ->
-          (* append-first needs to know up front whether the delete will
-             remove anything: absent keys are neither logged nor applied,
-             keeping the one-record-per-acknowledged-mutation invariant *)
-          if not (Hyperion.Store.mem t.store key) then Ok false
-          else
-            log_then_apply t (Wal.Delete key) ~apply:(fun () ->
-                Hyperion.Store.delete_result t.store key))
+  with_stored t key (fun k ->
+      (* append-first needs to know up front whether the delete will
+         remove anything: absent keys are neither logged nor applied,
+         keeping the one-record-per-acknowledged-mutation invariant *)
+      if not (Stored.mem t.store k) then Ok false
+      else
+        log_then_apply t (Wal.Delete (k :> string)) ~apply:(fun () ->
+            Stored.delete t.store k))
 
 let sync t =
   guard_mut t (fun () ->
@@ -499,11 +496,10 @@ let heal t =
         | Some _ ->
             let next = t.gen + 1 in
             let* _bytes =
-              Snapshot.save ~io:t.io ~compress:t.enc t.store
-                (snapshot_file ~dir:t.dir ~gen:next)
+              Snapshot.save ~io:t.io t.store (snapshot_file ~dir:t.dir ~gen:next)
             in
             let* wal =
-              Wal.create ~io:t.io ~compress:t.enc ~config:t.cfg ~gen:next
+              Wal.create ~io:t.io ~store:t.store ~gen:next
                 (wal_file ~dir:t.dir ~gen:next)
             in
             let old_wal = t.wal and old_gen = t.gen in
@@ -544,19 +540,19 @@ let crash t =
 
 (* --- one-shot snapshot I/O ------------------------------------------ *)
 
-let save_snapshot ?io ?compress store path = Snapshot.save ?io ?compress store path
+let save_snapshot ?io store path = Snapshot.save ?io store path
 
-let load_snapshot ?config ?expect path =
+let load_snapshot ?config path =
   match config with
-  | Some config -> Snapshot.load ?expect ~config path
+  | Some config -> Snapshot.load ~config path
   | None -> (
       (* infer the config family from the recorded preprocess flag and
-         encoder; the (encoder-mixed) fingerprint still has to match, so
-         only snapshots written with stock configs load without an
-         explicit one *)
+         codec; the (codec-mixed) fingerprint still has to match, so only
+         snapshots written with stock configs load without an explicit
+         one *)
       match Snapshot.probe path with
       | Error _ as e -> e
-      | Ok (h, enc) ->
+      | Ok (h, codec) ->
           let stock =
             [
               Hyperion.Config.default;
@@ -573,9 +569,7 @@ let load_snapshot ?config ?expect path =
           in
           let matching =
             List.find_opt
-              (fun c ->
-                Compress.mix_fingerprint (Hyperion.Config.fingerprint c) enc
-                = h.Snapshot.fingerprint)
+              (fun c -> Frame.fingerprint c codec = h.Snapshot.fingerprint)
               candidates
           in
           let config =
@@ -589,4 +583,4 @@ let load_snapshot ?config ?expect path =
                   compress = h.Snapshot.encoder;
                 }
           in
-          Snapshot.load ?expect ~config path)
+          Snapshot.load ~config path)

@@ -59,20 +59,21 @@ val open_or_create :
     through [io] (default {!Io.none}), the fault-injection and retry
     layer.  All failures — corrupt snapshot, foreign format version, torn
     WAL header, OS errors — come back as typed errors; this function never
-    raises (except on a [compress]/[config.compress] id disagreement,
-    which is a wiring bug).
+    raises (except on a fresh directory whose [compress] codec
+    disagrees with [config.compress], which is a wiring bug —
+    {!Hyperion.Store.create}).
 
-    {b Key compression.}  This layer stores and logs keys {e exactly as
-    given} — when [config.compress] is non-zero the caller (shard layer,
-    CLI) encodes keys before every mutation.  [compress] declares the
-    encoder those keys are under: on a fresh directory it is persisted
-    into every snapshot and WAL header; on an existing directory the
-    persisted dictionary is adopted (retraining-free recovery) and
-    [compress], when given, is verified against it
-    ([Version_mismatch] on a different dictionary).  Opening a fresh
-    directory with [config.compress = 1] and no [compress] fails with
-    [Io_error] — a dictionary cannot be conjured from the scheme id.
-    {!compress} exposes the adopted encoder.
+    {b Key compression.}  The codec belongs to the store
+    ({!Hyperion.Store.codec}): callers pass user keys, and the logged
+    mutations below record each key's stored (dictionary-encoded) form
+    through {!Hyperion.Store.Stored}.  [compress] supplies the codec of a
+    fresh directory, which is persisted into every snapshot and WAL
+    header.  On an existing directory the persisted dictionary is
+    adopted (retraining-free recovery), and [compress], when given, is
+    verified against it ([Version_mismatch] on a different dictionary).
+    Opening a fresh directory with [config.compress = 1] and no
+    [compress] fails with [Io_error] — a dictionary cannot be conjured
+    from the scheme id.
 
     Before the handle is returned, the recovered store's arenas pass the
     {!Analyze.Heapcheck} mark-and-sweep heap audit; a leaked or
@@ -86,17 +87,15 @@ val store : t -> Hyperion.Store.t
 
 val config : t -> Hyperion.Config.t
 
-val compress : t -> Compress.t
-(** The encoder this directory's keys are encoded with (persisted in the
-    snapshot; adopted on recovery). *)
-
 val dir : t -> string
 val recovery : t -> recovery  (** What {!open_or_create} found. *)
 
 (** {1 Logged mutations}
 
     Same contracts as the [Store] result API; [Ok] additionally means the
-    mutation is in the log (durable after the next group commit).
+    mutation is in the log (durable after the next group commit).  A key
+    the store rejects ({!Hyperion.Store.Stored.of_key}) returns its typed error
+    and is never logged.
 
     Mutations follow the {e append-first} protocol: validate the key,
     append the WAL record, apply to the store, and truncate the record
@@ -176,16 +175,16 @@ val crash : t -> unit
     [save]/[load] verbs. *)
 
 val save_snapshot :
-  ?io:Io.t -> ?compress:Compress.t -> Hyperion.Store.t -> string ->
+  ?io:Io.t -> Hyperion.Store.t -> string ->
   (int, Hyperion.Hyperion_error.t) result
+(** {!Snapshot.save}. *)
 
 val load_snapshot :
-  ?config:Hyperion.Config.t -> ?expect:Compress.t -> string ->
-  (Hyperion.Store.t * Compress.t, Hyperion.Hyperion_error.t) result
+  ?config:Hyperion.Config.t -> string ->
+  (Hyperion.Store.t, Hyperion.Hyperion_error.t) result
 (** Like {!Snapshot.load}, but when [config] is omitted it is inferred
     from the header (stock config families, the preprocess flag and the
-    persisted encoder).  Returns the store together with the encoder its
-    keys are encoded under. *)
+    persisted codec).  The store carries the file's codec. *)
 
 val snapshot_file : dir:string -> gen:int -> string
 val wal_file : dir:string -> gen:int -> string

@@ -13,12 +13,10 @@ type header = {
 
 let corrupt path what = Error (E.Corrupt_snapshot (path ^ ": " ^ what))
 
-(* Header flags: bit 0 = preprocess, bits 1-2 = key-encoder scheme id.
-   v1 files predate the encoder field; their flags only ever held the
-   preprocess bit, so decoding them with this layout reads encoder 0
+(* Header flags: bit 0 = preprocess, bits 1-2 = codec scheme id.  v1
+   files predate the codec field; their flags only ever held the
+   preprocess bit, so decoding them with this layout reads codec 0
    (identity) — exactly what they were written with. *)
-let flags_of ~preprocess ~encoder = (if preprocess then 1 else 0) lor (encoder lsl 1)
-
 let parse_header path buf =
   match Frame.parse_header ~magic buf with
   | Error Frame.Short -> corrupt path "file shorter than the header"
@@ -36,11 +34,6 @@ let parse_header path buf =
             fingerprint = h.Frame.fingerprint;
             count = Int64.to_int h.Frame.aux;
           }
-
-let read_header ?(io = Io.none) path =
-  match Io.read_file io path with
-  | Error _ as e -> e
-  | Ok buf -> parse_header path buf
 
 (* The encoder persisted in a v2 file: the framed record right after the
    header — empty payload for identity, the 258-byte dictionary blob for
@@ -80,14 +73,8 @@ let record_payload key value =
       Bytes.set_int64_le b (1 + klen) v;
       Bytes.unsafe_to_string b
 
-let save ?(io = Io.none) ?(compress = Compress.Identity) store path =
+let save ?(io = Io.none) store path =
   let tmp = path ^ ".tmp" in
-  let store_cfg = Hyperion.Store.config store in
-  if store_cfg.Hyperion.Config.compress <> Compress.id compress then
-    invalid_arg
-      (Printf.sprintf
-         "Snapshot.save: store config selects encoder %d but %s was passed"
-         store_cfg.Hyperion.Config.compress (Compress.name compress));
   let ( let* ) = Result.bind in
   let result =
     match Io.Out.create io tmp with
@@ -96,21 +83,15 @@ let save ?(io = Io.none) ?(compress = Compress.Identity) store path =
         let written = ref 0 in
         let body =
           let header =
-            Frame.make_header ~magic ~version:format_version
-              ~flags:
-                (flags_of ~preprocess:store_cfg.Hyperion.Config.preprocess
-                   ~encoder:(Compress.id compress))
-              ~fingerprint:
-                (Compress.mix_fingerprint
-                   (Hyperion.Config.fingerprint store_cfg)
-                   compress)
+            Frame.store_header ~magic ~version:format_version
               ~aux:(Int64.of_int (Hyperion.Store.length store))
+              store
           in
           let* () = Io.Out.write w header in
           written := Bytes.length header;
           let dict_rec =
             Frame.frame
-              (match compress with
+              (match Hyperion.Store.codec store with
               | Compress.Identity -> ""
               | Compress.Dict d -> Compress.dict_to_string d)
           in
@@ -119,9 +100,11 @@ let save ?(io = Io.none) ?(compress = Compress.Identity) store path =
           (* [iter] has no early exit: after the first failure the
              remaining callbacks are no-ops *)
           let err = ref None in
-          Hyperion.Store.iter store (fun key value ->
+          Hyperion.Store.Stored.iter store (fun key value ->
               if !err = None then begin
-                let rec_bytes = Frame.frame (record_payload key value) in
+                let rec_bytes =
+                  Frame.frame (record_payload (key :> string) value)
+                in
                 match Io.Out.write w rec_bytes with
                 | Ok () -> written := !written + Bytes.length rec_bytes
                 | Error e -> err := Some e
@@ -148,7 +131,9 @@ let save ?(io = Io.none) ?(compress = Compress.Identity) store path =
       e
 
 let apply_record store key value =
-  Hyperion.Store.put_opt_result store key value
+  match Hyperion.Store.Stored.of_bytes store key with
+  | Ok k -> Hyperion.Store.Stored.put store k value
+  | Error _ as e -> e
 
 let decode_record path payload =
   let len = String.length payload in
@@ -175,7 +160,7 @@ let probe ?(io = Io.none) path =
           | Error _ as e -> e
           | Ok (enc, _) -> Ok (h, enc)))
 
-let load ?(io = Io.none) ?expect ~config path =
+let load ?(io = Io.none) ~config path =
   match Io.read_file io path with
   | Error _ as e -> e
   | Ok buf -> (
@@ -184,48 +169,29 @@ let load ?(io = Io.none) ?expect ~config path =
       | Ok h -> (
           match parse_encoder path h buf with
           | Error _ as e -> e
-          | Ok (enc, records_pos) ->
-              if config.Hyperion.Config.compress <> Compress.id enc then
-                (* the config demands a different encoder scheme: refusing
-                   here is what keeps a dict-encoded store from being
-                   silently served through an identity front door *)
+          | Ok (codec, records_pos) ->
+              let fp = Frame.fingerprint config codec in
+              if config.Hyperion.Config.compress <> Compress.id codec then
+                (* the config demands a different codec scheme: refusing
+                   here is what keeps a dict-encoded file from being
+                   served as identity keys *)
                 Error
                   (E.Version_mismatch
                      {
-                       found = Compress.tag enc;
+                       found = Compress.tag codec;
                        expected = config.Hyperion.Config.compress;
                      })
-              else if
-                match expect with
-                | None -> false
-                | Some e -> not (Compress.equal e enc)
-              then
-                (* same scheme, different dictionary bytes *)
-                Error
-                  (E.Version_mismatch
-                     {
-                       found = Compress.tag enc;
-                       expected = Compress.tag (Option.get expect);
-                     })
-              else if
-                h.fingerprint
-                <> Compress.mix_fingerprint
-                     (Hyperion.Config.fingerprint config)
-                     enc
-              then
+              else if h.fingerprint <> fp then
                 corrupt path
                   (Printf.sprintf
                      "config fingerprint mismatch (file 0x%Lx, config 0x%Lx)"
-                     h.fingerprint
-                     (Compress.mix_fingerprint
-                        (Hyperion.Config.fingerprint config)
-                        enc))
+                     h.fingerprint fp)
               else begin
-                let store = Hyperion.Store.create ~config () in
+                let store = Hyperion.Store.create ~config ~compress:codec () in
                 let total = Bytes.length buf in
                 let rec loop pos seen =
                   if pos = total then
-                    if seen = h.count then Ok (store, enc)
+                    if seen = h.count then Ok store
                     else
                       corrupt path
                         (Printf.sprintf

@@ -19,25 +19,19 @@ type writer = {
   mutable open_ : bool; [@guarded_by "Persist.t.lock"]
 }
 
-(* Like snapshot headers: flags bit 0 = preprocess, bits 1-2 = encoder
-   scheme id; the fingerprint is encoder-mixed.  With the identity
-   encoder both reduce to the historical v1 values, so pre-compression
-   logs keep replaying byte-for-byte. *)
-let header_bytes ~config ~compress ~gen =
-  Frame.make_header ~magic ~version:format_version
-    ~flags:
-      ((if config.Hyperion.Config.preprocess then 1 else 0)
-      lor (Compress.id compress lsl 1))
-    ~fingerprint:
-      (Compress.mix_fingerprint (Hyperion.Config.fingerprint config) compress)
-    ~aux:(Int64.of_int gen)
-
-let create ?(io = Io.none) ?(compress = Compress.Identity) ~config ~gen path =
+(* Like snapshot headers ({!Frame.store_header}): with the identity
+   codec the flags and fingerprint reduce to the historical v1 values, so
+   pre-compression logs keep replaying byte-for-byte. *)
+let create ?(io = Io.none) ~store ~gen path =
   match Io.openfile io path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 with
   | Error _ as e -> e
   | Ok fd -> (
+      let header =
+        Frame.store_header ~magic ~version:format_version ~aux:(Int64.of_int gen)
+          store
+      in
       let setup =
-        match Io.write_all io fd (header_bytes ~config ~compress ~gen) ~path with
+        match Io.write_all io fd header ~path with
         | Error _ as e -> e
         | Ok () -> Io.fsync io fd ~path
       in
@@ -56,9 +50,7 @@ let create ?(io = Io.none) ?(compress = Compress.Identity) ~config ~gen path =
           Io.quiet_close fd;
           e)
 
-let open_append ?(io = Io.none) ~config ~gen path =
-  ignore config;
-  ignore gen;
+let open_append ?(io = Io.none) path =
   match Io.openfile io path [ Unix.O_WRONLY; Unix.O_APPEND ] 0o644 with
   | Error _ as e -> e
   | Ok fd -> (
@@ -180,7 +172,10 @@ let truncate_to io path valid =
       Io.quiet_close fd;
       res)
 
-let replay ?(io = Io.none) ?(compress = Compress.Identity) ~config ~gen path ~f =
+let replay ?(io = Io.none) ~store ~gen path ~f =
+  let fp =
+    Frame.fingerprint (Hyperion.Store.config store) (Hyperion.Store.codec store)
+  in
   match Io.read_file io path with
   | Error _ as e -> e
   | Ok buf -> (
@@ -193,18 +188,11 @@ let replay ?(io = Io.none) ?(compress = Compress.Identity) ~config ~gen path ~f 
             Error
               (E.Version_mismatch
                  { found = h.Frame.version; expected = format_version })
-          else if
-            h.Frame.fingerprint
-            <> Compress.mix_fingerprint (Hyperion.Config.fingerprint config)
-                 compress
-          then
+          else if h.Frame.fingerprint <> fp then
             torn path
               (Printf.sprintf
                  "config fingerprint mismatch (file 0x%Lx, config 0x%Lx)"
-                 h.Frame.fingerprint
-                 (Compress.mix_fingerprint
-                    (Hyperion.Config.fingerprint config)
-                    compress))
+                 h.Frame.fingerprint fp)
           else if Int64.to_int h.Frame.aux <> gen then
             torn path
               (Printf.sprintf "generation mismatch (file %Ld, expected %d)"

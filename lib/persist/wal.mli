@@ -24,19 +24,16 @@ type op = Put of string * int64 | Add of string | Delete of string
 type writer
 
 val create :
-  ?io:Io.t -> ?compress:Compress.t -> config:Hyperion.Config.t -> gen:int ->
-  string -> (writer, Hyperion.Hyperion_error.t) result
+  ?io:Io.t -> store:Hyperion.Store.t -> gen:int -> string ->
+  (writer, Hyperion.Hyperion_error.t) result
 (** Create (truncating any existing file) and make the header durable.
-    All syscalls go through [io] (default {!Io.none}).  [compress]
-    (default [Identity]) is the key encoder this log's records are
-    written under: keys are logged {e post}-encoding, the header
-    fingerprint is {!Compress.mix_fingerprint}ed, and flags bits 1-2
-    carry the scheme id — so recovery needs no retraining and a log can
-    never replay under the wrong dictionary. *)
+    All syscalls go through [io] (default {!Io.none}).  Records carry
+    [store]'s stored keys ({!Hyperion.Store.Stored}); the header's flags
+    and fingerprint name its config and codec ({!Frame.store_header}), so
+    a log can never replay under the wrong dictionary. *)
 
 val open_append :
-  ?io:Io.t -> config:Hyperion.Config.t -> gen:int -> string ->
-  (writer, Hyperion.Hyperion_error.t) result
+  ?io:Io.t -> string -> (writer, Hyperion.Hyperion_error.t) result
 (** Reopen an existing (already replayed, hence already truncated-to-valid)
     log for further appends.  Everything on disk at open counts as synced. *)
 
@@ -72,11 +69,11 @@ type replay = {
 }
 
 val replay :
-  ?io:Io.t -> ?compress:Compress.t -> config:Hyperion.Config.t -> gen:int ->
-  string -> f:(op -> (unit, Hyperion.Hyperion_error.t) result) ->
+  ?io:Io.t -> store:Hyperion.Store.t -> gen:int -> string ->
+  f:(op -> (unit, Hyperion.Hyperion_error.t) result) ->
   (replay, Hyperion.Hyperion_error.t) result
 (** Apply every complete record to [f] in append order, then truncate the
     file to [valid_bytes] if a torn tail was found.  [Torn_log] when the
-    header is unreadable or names a different generation/config;
-    [Version_mismatch] on a foreign format version; [f]'s first error
-    aborts the replay. *)
+    header is unreadable or names a different generation, or a config and
+    codec other than [store]'s; [Version_mismatch] on a foreign format
+    version; [f]'s first error aborts the replay. *)

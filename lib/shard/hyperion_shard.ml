@@ -257,7 +257,7 @@ type knobs = {
 
 type t = {
   cfg : H.Config.t;
-  enc : Compress.t;  (* every key is encoded through this at the front door *)
+  codec : Compress.t;  (* the stores' codec: routing reads its first byte *)
   tab : shard array;
   recs : shard_recovery list;
   knobs : knobs;
@@ -269,7 +269,7 @@ type t = {
 let shards t = Array.length t.tab
 let durable t = Array.length t.tab > 0 && t.tab.(0).persist <> None
 let config t = t.cfg
-let compress t = t.enc
+let compress t = t.codec
 let recoveries t = t.recs
 
 let shard_dir ~dir i = Filename.concat dir (Printf.sprintf "shard-%03d" i)
@@ -277,29 +277,14 @@ let manifest_file ~dir = Filename.concat dir "MANIFEST"
 
 let route_byte d b = b * d / 256
 
-(* Routing happens over *encoded* bytes; the encoder is order-preserving,
-   so the boundary math (first byte, fixed split) is unchanged. *)
-let shard_of_encoded t ekey = route_byte (Array.length t.tab) (Char.code ekey.[0])
-let shard_of_key t key = route_byte (Array.length t.tab) (Compress.first_byte t.enc key)
-
-(* Front-door key validation + encoding: the raw key must satisfy the
-   store's key rules (rejecting e.g. the empty key before it gains bytes
-   from the terminator code), and so must its encoding (worst-case
-   expansion can push a near-limit key over the length cap). *)
-let front_key enc key =
-  match H.Ops.key_error key with
-  | Some e -> Error e
-  | None -> (
-      match enc with
-      | Compress.Identity -> Ok key
-      | Compress.Dict _ -> (
-          let ek = Compress.encode enc key in
-          match H.Ops.key_error ek with Some e -> Error e | None -> Ok ek))
-
-let decoded enc ekey =
-  match Compress.decode enc ekey with
-  | Ok k -> k
-  | Error why -> E.fail (E.Chunk_corrupt ("stored key fails to decode: " ^ why))
+(* Routing reads the first byte of the stored key: the codec is
+   order-preserving, so the contiguous byte-range partition is still a
+   global key order.  The empty key has no first byte under the identity
+   codec; it goes to shard 0, whose store rejects it like any other
+   invalid key. *)
+let shard_of_key t key =
+  if key = "" then 0
+  else route_byte (Array.length t.tab) (Compress.first_byte t.codec key)
 
 (* --- worker ----------------------------------------------------------- *)
 
@@ -424,41 +409,15 @@ let timeout_ns_of_ms ms =
   if ms < 0 then invalid_arg "Hyperion_shard: enqueue_timeout_ms must be >= 0";
   ms * 1_000_000
 
-(* The encoder is part of the config contract: [config.compress] names
-   the scheme, [?compress] supplies the trained state.  A disagreement is
-   a wiring bug (invalid_arg); a missing dictionary for scheme 1 is too,
-   for the in-memory constructor (the durable path can adopt one from its
-   snapshots instead). *)
-let check_encoder ~config compress =
-  match compress with
-  | Some e ->
-      if Compress.id e <> config.H.Config.compress then
-        invalid_arg
-          (Printf.sprintf
-             "Hyperion_shard: config.compress = %d but the %s encoder was \
-              passed"
-             config.H.Config.compress (Compress.name e));
-      Some e
-  | None ->
-      if config.H.Config.compress = 0 then Some Compress.Identity else None
-
 let create ?(config = H.Config.default) ?compress ?(shards = 4)
     ?(mailbox = 1024) ?(enqueue_timeout_ms = default_enqueue_timeout_ms) () =
   check_geometry ~shards ~mailbox;
-  let enc =
-    match check_encoder ~config compress with
-    | Some e -> e
-    | None ->
-        invalid_arg
-          "Hyperion_shard.create: config.compress selects the dict encoder; \
-           pass ?compress with the trained dictionary"
-  in
   let enqueue_timeout_ns = timeout_ns_of_ms enqueue_timeout_ms in
   let tab =
     Array.init shards (fun i ->
         {
           id = i;
-          store = H.Store.create ~config ();
+          store = H.Store.create ~config ?compress ();
           persist = None;
           mb = mailbox_create mailbox;
           health = Atomic.make None;
@@ -468,7 +427,7 @@ let create ?(config = H.Config.default) ?compress ?(shards = 4)
   start_workers tab;
   {
     cfg = config;
-    enc;
+    codec = H.Store.codec tab.(0).store;
     tab;
     recs = [];
     knobs =
@@ -514,7 +473,6 @@ let open_durable ?(config = H.Config.default) ?compress ?shards ?sync_every_ops
     ?sync_every_bytes ?rotate_bytes ?(mailbox = 1024)
     ?(enqueue_timeout_ms = default_enqueue_timeout_ms) ?io_for_shard dir =
   let ( let* ) = Result.bind in
-  let expect = check_encoder ~config compress in
   let enqueue_timeout_ns = timeout_ns_of_ms enqueue_timeout_ms in
   let* () =
     match
@@ -554,7 +512,7 @@ let open_durable ?(config = H.Config.default) ?compress ?shards ?sync_every_ops
         Array.init n (fun j ->
             let io = Option.map (fun f -> f (i + j)) io_for_shard in
             Domain.spawn (fun () ->
-                Persist.open_or_create ~config ?compress:expect ?io
+                Persist.open_or_create ~config ?compress ?io
                   ?sync_every_ops ?sync_every_bytes ?rotate_bytes
                   (shard_dir ~dir (i + j))))
       in
@@ -585,17 +543,13 @@ let open_durable ?(config = H.Config.default) ?compress ?shards ?sync_every_ops
                 E.fail e)
           results
       in
-      (* adopt the persisted encoder (shard 0's) and insist every shard
+      (* adopt the persisted codec (shard 0's) and insist every shard
          agrees: divergent dictionaries would route and compare
          incoherently across the partition *)
-      let enc =
-        match expect with Some e -> e | None -> Persist.compress handles.(0)
-      in
+      let codec_of p = H.Store.codec (Persist.store p) in
+      let codec = codec_of handles.(0) in
       let* () =
-        if
-          Array.for_all
-            (fun p -> Compress.equal (Persist.compress p) enc)
-            handles
+        if Array.for_all (fun p -> Compress.equal (codec_of p) codec) handles
         then Ok ()
         else begin
           Array.iter (fun p -> ignore (Persist.close p)) handles;
@@ -627,7 +581,7 @@ let open_durable ?(config = H.Config.default) ?compress ?shards ?sync_every_ops
       Ok
         {
           cfg = config;
-          enc;
+          codec;
           tab;
           recs;
           knobs =
@@ -673,22 +627,22 @@ let rec submit_msg t sh msg =
               else Error (closed_error t)))
 
 (* Completion-driven front door: [k] runs exactly once, on the caller
-   when the request fails before reaching a mailbox, otherwise on the
-   owning shard's worker domain after the mutation is applied. *)
+   when the request fails before reaching a mailbox (the empty key has no
+   byte to route by), otherwise on the owning shard's worker domain after
+   its store has validated the key and applied the mutation. *)
 let submit_async t key op k =
   let k = once k in
-  match front_key t.enc key with
-  | Error e -> k (Error e)
-  | Ok ek -> (
-      match submit_msg t t.tab.(shard_of_encoded t ek) (Mut (op ek, k)) with
-      | Ok () -> ()
-      | Error e -> k (Error e))
+  if key = "" then k (Error E.Empty_key)
+  else
+    match submit_msg t t.tab.(shard_of_key t key) (Mut (op, k)) with
+    | Ok () -> ()
+    | Error e -> k (Error e)
 
 let unit_result k = function Ok _ -> k (Ok ()) | Error e -> k (Error e)
 
-let put_async t key v k = submit_async t key (fun ek -> Put (ek, v)) (unit_result k)
-let add_async t key k = submit_async t key (fun ek -> Add ek) (unit_result k)
-let delete_async t key k = submit_async t key (fun ek -> Delete ek) k
+let put_async t key v k = submit_async t key (Put (key, v)) (unit_result k)
+let add_async t key k = submit_async t key (Add key) (unit_result k)
+let delete_async t key k = submit_async t key (Delete key) k
 let put_result t key v = Ivar.await (put_async t key v)
 let add_result t key = Ivar.await (add_async t key)
 let delete_result t key = Ivar.await (delete_async t key)
@@ -707,43 +661,29 @@ let delete t key =
   if String.length key = 0 then invalid_arg "Hyperion_shard: empty key";
   ok_or_raise (delete_result t key)
 
-let get t key =
-  if String.length key = 0 then invalid_arg "Hyperion_shard: empty key";
-  let ek = Compress.encode t.enc key in
-  H.Store.get t.tab.(shard_of_encoded t ek).store ek
-
-let mem t key =
-  if String.length key = 0 then invalid_arg "Hyperion_shard: empty key";
-  let ek = Compress.encode t.enc key in
-  H.Store.mem t.tab.(shard_of_encoded t ek).store ek
+let get t key = H.Store.get t.tab.(shard_of_key t key).store key
+let mem t key = H.Store.mem t.tab.(shard_of_key t key).store key
 
 (* --- batched reads ---------------------------------------------------- *)
 
 (* Like [get]/[mem], batched reads use the lock-free direct door: they
    run on the calling domain against each shard's store (which takes its
    own arena locks), never the mailbox — so they serve down shards too.
-   Keys are encoded, grouped by owning shard, pushed through the store's
+   Keys are grouped by owning shard, pushed through the store's
    memory-level-parallel batch path, and scattered back in input order. *)
-let encode_batch t keys =
-  Array.map
-    (fun k ->
-      if String.length k = 0 then invalid_arg "Hyperion_shard: empty key";
-      Compress.encode t.enc k)
-    keys
-
-let read_many t ekeys ~run ~default =
-  let n = Array.length ekeys in
+let read_many t keys ~run ~default =
+  let n = Array.length keys in
   let out = Array.make n default in
   let groups = Array.make (Array.length t.tab) [] in
   for i = n - 1 downto 0 do
-    let s = shard_of_encoded t ekeys.(i) in
+    let s = shard_of_key t keys.(i) in
     groups.(s) <- i :: groups.(s)
   done;
   Array.iteri
     (fun s idxs ->
       if idxs <> [] then begin
         let idxa = Array.of_list idxs in
-        let sub = Array.map (fun i -> ekeys.(i)) idxa in
+        let sub = Array.map (fun i -> keys.(i)) idxa in
         let r = run t.tab.(s).store sub in
         Array.iteri (fun j i -> out.(i) <- r.(j)) idxa
       end)
@@ -751,11 +691,11 @@ let read_many t ekeys ~run ~default =
   out
 
 let get_many ?width t keys =
-  read_many t (encode_batch t keys) ~default:None ~run:(fun store sub ->
+  read_many t keys ~default:None ~run:(fun store sub ->
       H.Store.get_many ?width store sub)
 
 let mem_many ?width t keys =
-  read_many t (encode_batch t keys) ~default:false ~run:(fun store sub ->
+  read_many t keys ~default:false ~run:(fun store sub ->
       H.Store.mem_many ?width store sub)
 
 (* --- batched mutations ------------------------------------------------ *)
@@ -781,28 +721,14 @@ module Batch = struct
       count = 0;
     }
 
-  (* keys are encoded at push time so flush routes and applies encoded
-     bytes, same as the blocking front door *)
-  let push b ekey op =
-    let i = shard_of_encoded b.owner ekey in
+  let push b key op =
+    let i = shard_of_key b.owner key in
     b.pending.(i) <- op :: b.pending.(i);
     b.count <- b.count + 1
 
-  let enc_key b key =
-    if String.length key = 0 then invalid_arg "Hyperion_shard: empty key";
-    Compress.encode b.owner.enc key
-
-  let put b key v =
-    let ek = enc_key b key in
-    push b ek (Put (ek, v))
-
-  let add b key =
-    let ek = enc_key b key in
-    push b ek (Add ek)
-
-  let delete b key =
-    let ek = enc_key b key in
-    push b ek (Delete ek)
+  let put b key v = push b key (Put (key, v))
+  let add b key = push b key (Add key)
+  let delete b key = push b key (Delete key)
   let length b = b.count
 
   (* One flush fans out one [Batched] slice per involved shard; each
@@ -915,15 +841,14 @@ let with_quiesced t f =
 let iter t f =
   with_quiesced t (fun stores ->
       Array.iter
-        (fun s -> H.Store.iter s (fun ekey v -> f (decoded t.enc ekey) v))
+        (fun s -> H.Store.iter s f)
         stores)
 
 let fold t ~init ~f =
   with_quiesced t (fun stores ->
       Array.fold_left
         (fun acc s ->
-          H.Store.fold s ~init:acc ~f:(fun acc ekey v ->
-              f acc (decoded t.enc ekey) v))
+          H.Store.fold s ~init:acc ~f)
         init stores)
 
 let length t =
@@ -1004,7 +929,7 @@ let restart_shard t i =
                 (* in-memory shard: nothing to recover from — restart
                    empty (the data died with the worker's store being
                    orphaned; durable stores recover below) *)
-                sh.store <- H.Store.create ~config:t.cfg ();
+                sh.store <- H.Store.create ~config:t.cfg ~compress:t.codec ();
                 sh.mb <- mailbox_create t.knobs.k_mailbox;
                 respawn ();
                 Ok None
@@ -1021,7 +946,7 @@ let restart_shard t i =
                 in
                 let io = Option.map (fun f -> f i) t.knobs.k_io_for_shard in
                 match
-                  Persist.open_or_create ~config:t.cfg ~compress:t.enc ?io
+                  Persist.open_or_create ~config:t.cfg ~compress:t.codec ?io
                     ?sync_every_ops:t.knobs.k_sync_every_ops
                     ?sync_every_bytes:t.knobs.k_sync_every_bytes
                     ?rotate_bytes:t.knobs.k_rotate_bytes dir

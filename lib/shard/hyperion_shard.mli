@@ -20,14 +20,14 @@
     open; mutations are logged through the shard's {!Persist.t} handle by
     its worker domain, so the WAL order equals the apply order.
 
-    {b Key compression.}  When the store's {!Hyperion.Config.t.compress}
-    selects the trained-dictionary encoder ({!Compress}), every front-door
-    key is encoded before it reaches a store (and before WAL logging), and
-    decoded on the way back out of {!iter}/{!fold}.  Routing happens over
-    encoded bytes — the encoder is order-preserving, so the contiguous
-    byte-range partition and global iteration order are unchanged.
-    {!with_quiesced} deliberately stays below the boundary: it exposes the
-    raw stores, whose keys are {e encoded}.
+    {b Key compression.}  The key codec belongs to each shard's
+    {!Hyperion.Store.t} (see {!Hyperion.Store.codec}): this layer passes
+    user keys through unchanged, and each store validates and encodes
+    them on its worker domain (mutations) or on the caller (reads).
+    Routing reads only the first byte of the encoded key
+    ({!Compress.first_byte}); the codec is order-preserving, so the
+    contiguous byte-range partition and global iteration order are
+    unchanged.
 
     {b Supervision.}  Worker domains are supervised: an unexpected
     exception in a worker never strands a client.  The dying worker fails
@@ -53,11 +53,11 @@ val create :
     [1, 64]) over fresh in-memory stores.  [mailbox] bounds each shard's
     request ring (default 1024 requests; senders block when full, for at
     most [enqueue_timeout_ms] — default 30_000; [0] waits forever).
-    [compress] supplies the trained key encoder and must agree with
-    [config.compress]; when [config.compress = 1] it is mandatory (an
-    in-memory store has no snapshot to adopt a dictionary from).
+    [compress] is every shard store's codec ({!Hyperion.Store.create});
+    when [config.compress = 1] it is mandatory (an in-memory store has no
+    snapshot to adopt a dictionary from).
     @raise Invalid_argument on out-of-range [shards], [mailbox], a
-    negative [enqueue_timeout_ms], or an encoder/config disagreement. *)
+    negative [enqueue_timeout_ms], or a codec/config disagreement. *)
 
 type shard_recovery = {
   shard : int;
@@ -101,16 +101,17 @@ val durable : t -> bool
 val config : t -> Hyperion.Config.t
 
 val compress : t -> Compress.t
-(** The key encoder every front-door key passes through (adopted from the
-    persisted dictionary when {!open_durable} was given none). *)
+(** The shard stores' codec (adopted from the persisted dictionary when
+    {!open_durable} was given none). *)
 
 val recoveries : t -> shard_recovery list
 (** What each shard's recovery found, ascending by shard; [[]] for
     in-memory stores. *)
 
 val shard_of_key : t -> string -> int
-(** The shard owning a (non-empty) raw key:
-    [first_encoded_byte * shards / 256] (see {!Compress.first_byte}). *)
+(** The shard owning a user key:
+    [first_encoded_byte * shards / 256] (see {!Compress.first_byte}); the
+    empty key, which every store rejects, maps to shard 0. *)
 
 (** {1 Blocking operations}
 
@@ -180,6 +181,10 @@ module Batch : sig
   val put : b -> string -> int64 -> unit
   val add : b -> string -> unit
   val delete : b -> string -> unit
+  (** Buffer one mutation.  The key is validated by the owning store
+      when the slice applies: an invalid key stops its shard's slice with
+      the typed error, exactly like a [_result] call. *)
+
   val length : b -> int  (** Operations buffered and not yet flushed. *)
 
   type shard_flush = {
@@ -222,14 +227,13 @@ end
 val with_quiesced : t -> (Hyperion.Store.t array -> 'a) -> 'a
 (** [with_quiesced t f] runs [f] over the quiescent per-shard stores
     (index = shard id).  [f] must only read; the workers resume when it
-    returns (or raises).  The stores hold {e encoded} keys — decode with
-    {!compress} (as {!iter}/{!fold} do) before showing them to anyone. *)
+    returns (or raises).  The stores speak user keys like every other
+    entry point. *)
 
 val iter : t -> (string -> int64 option -> unit) -> unit
 (** Every binding in global ascending key order (shard ranges are
-    contiguous, so shard order is key order).  Keys are decoded back to
-    their raw form; a stored key that fails to decode raises
-    [Error (Chunk_corrupt _)]. *)
+    contiguous, so shard order is key order).  A stored key that fails to
+    decode raises [Error (Chunk_corrupt _)] ({!Hyperion.Store.range}). *)
 
 val fold : t -> init:'a -> f:('a -> string -> int64 option -> 'a) -> 'a
 val length : t -> int

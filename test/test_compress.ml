@@ -162,20 +162,17 @@ let ok what = function
   | Ok v -> v
   | Error e -> Alcotest.failf "%s: %s" what (E.to_string e)
 
-(* A dict-encoded store round-trips through a v2 snapshot: the dictionary
-   travels inside the file, and the reopened pair decodes every key. *)
+(* A dict store round-trips through a v2 snapshot: the dictionary travels
+   inside the file, and the reloaded store carries it. *)
 let test_snapshot_dict_roundtrip () =
-  let store = Hyperion.Store.create ~config:cfg_dict () in
+  let store = Hyperion.Store.create ~config:cfg_dict ~compress:enc () in
   let keys = sample_keys 500 in
-  Array.iteri
-    (fun i k ->
-      Hyperion.Store.put store (Compress.encode enc k) (Int64.of_int i))
-    keys;
+  Array.iteri (fun i k -> Hyperion.Store.put store k (Int64.of_int i)) keys;
   let path = fresh_file () in
-  ignore (ok "save" (Persist.save_snapshot ~compress:enc store path));
-  let store2, enc2 = ok "load" (Persist.load_snapshot ~config:cfg_dict path) in
+  ignore (ok "save" (Persist.save_snapshot store path));
+  let store2 = ok "load" (Persist.load_snapshot ~config:cfg_dict path) in
   Alcotest.(check bool) "encoder travels in the file" true
-    (Compress.equal enc enc2);
+    (Compress.equal enc (Hyperion.Store.codec store2));
   Alcotest.(check int) "length" (Array.length keys)
     (Hyperion.Store.length store2);
   Array.iteri
@@ -183,17 +180,20 @@ let test_snapshot_dict_roundtrip () =
       Alcotest.(check (option int64))
         k
         (Some (Int64.of_int i))
-        (Hyperion.Store.get store2 (Compress.encode enc2 k)))
+        (Hyperion.Store.get store2 k))
     keys;
-  (* stored keys decode back to the raw ones, in order *)
-  let decoded = ref [] in
-  Hyperion.Store.iter store2 (fun ek _ ->
-      match Compress.decode enc2 ek with
-      | Ok k -> decoded := k :: !decoded
-      | Error why -> Alcotest.failf "decode: %s" why);
+  (* iteration hands back the raw keys, in order *)
+  let got = ref [] in
+  Hyperion.Store.iter store2 (fun k _ -> got := k :: !got);
   Alcotest.(check (list string)) "raw keys in order"
     (Array.to_list keys)
-    (List.rev !decoded);
+    (List.rev !got);
+  (* the records hold the encoded keys *)
+  let stored = ref [] in
+  Hyperion.Store.Stored.iter store2 (fun k _ -> stored := (k :> string) :: !stored);
+  Alcotest.(check (list string)) "stored keys are the encodings"
+    (Array.to_list (Array.map (Compress.encode enc) keys))
+    (List.rev !stored);
   Sys.remove path
 
 (* A hand-built format-v1 file (no dictionary record, plain config
@@ -219,9 +219,9 @@ let test_snapshot_v1_backcompat () =
   let oc = open_out_bin path in
   Buffer.output_buffer oc buf;
   close_out oc;
-  let store, enc1 = ok "load v1" (Persist.load_snapshot ~config:cfg_id path) in
+  let store = ok "load v1" (Persist.load_snapshot ~config:cfg_id path) in
   Alcotest.(check bool) "v1 is identity" true
-    (Compress.equal Compress.Identity enc1);
+    (Compress.equal Compress.Identity (Hyperion.Store.codec store));
   Alcotest.(check (option int64)) "alpha" (Some 1L)
     (Hyperion.Store.get store "alpha");
   Alcotest.(check (option int64)) "beta" (Some 2L)
@@ -232,10 +232,10 @@ let test_snapshot_v1_backcompat () =
    keys: scheme mismatch and dictionary mismatch both map to
    Version_mismatch. *)
 let test_encoder_mismatch () =
-  let store = Hyperion.Store.create ~config:cfg_dict () in
-  Hyperion.Store.put store (Compress.encode enc "k") 1L;
+  let store = Hyperion.Store.create ~config:cfg_dict ~compress:enc () in
+  Hyperion.Store.put store "k" 1L;
   let path = fresh_file () in
-  ignore (ok "save" (Persist.save_snapshot ~compress:enc store path));
+  ignore (ok "save" (Persist.save_snapshot store path));
   (* identity config against a dict snapshot *)
   (match Persist.load_snapshot ~config:cfg_id path with
   | Error (E.Version_mismatch _) -> ()
@@ -247,10 +247,14 @@ let test_encoder_mismatch () =
       (Compress.train (Seq.init 400 (Printf.sprintf "ZZ-%d-unrelated")))
   in
   Alcotest.(check bool) "dictionaries differ" false (Compress.equal enc other);
-  (match Persist.load_snapshot ~expect:other ~config:cfg_dict path with
+  let dir = fresh_dir () in
+  let p = ok "open" (Persist.open_or_create ~config:cfg_dict ~compress:enc dir) in
+  ok "close" (Persist.close p);
+  (match Persist.open_or_create ~config:cfg_dict ~compress:other dir with
   | Error (E.Version_mismatch _) -> ()
   | Error e -> Alcotest.failf "wrong error: %s" (E.to_string e)
   | Ok _ -> Alcotest.fail "mismatched dictionary must not load");
+  rm_rf dir;
   (* and an identity store refuses a dict expectation the other way *)
   let id_store = Hyperion.Store.create ~config:cfg_id () in
   Hyperion.Store.put id_store "k" 1L;
@@ -274,30 +278,29 @@ let test_persist_adopts_dict () =
   in
   let keys = sample_keys 64 in
   Array.iteri
-    (fun i k ->
-      ok "put" (Persist.put p (Compress.encode enc k) (Int64.of_int i)))
+    (fun i k -> ok "put" (Persist.put p k (Int64.of_int i)))
     keys;
   ok "snapshot" (Persist.snapshot_now p);
   (* a few more keys that exist only in the WAL of the new generation *)
-  ok "wal put" (Persist.put p (Compress.encode enc "wal/only-1") 1001L);
-  ok "wal put" (Persist.put p (Compress.encode enc "wal/only-2") 1002L);
+  ok "wal put" (Persist.put p "wal/only-1" 1001L);
+  ok "wal put" (Persist.put p "wal/only-2" 1002L);
   ok "close" (Persist.close p);
   (* reopen with no explicit dictionary: the persisted one is adopted *)
   let p2 = ok "reopen" (Persist.open_or_create ~config:cfg_dict dir) in
-  Alcotest.(check bool) "adopted the persisted dictionary" true
-    (Compress.equal enc (Persist.compress p2));
   let store = Persist.store p2 in
+  Alcotest.(check bool) "adopted the persisted dictionary" true
+    (Compress.equal enc (Hyperion.Store.codec store));
   Array.iteri
     (fun i k ->
       Alcotest.(check (option int64))
         k
         (Some (Int64.of_int i))
-        (Hyperion.Store.get store (Compress.encode enc k)))
+        (Hyperion.Store.get store k))
     keys;
   Alcotest.(check (option int64)) "wal key replayed" (Some 1001L)
-    (Hyperion.Store.get store (Compress.encode enc "wal/only-1"));
+    (Hyperion.Store.get store "wal/only-1");
   Alcotest.(check (option int64)) "wal key replayed" (Some 1002L)
-    (Hyperion.Store.get store (Compress.encode enc "wal/only-2"));
+    (Hyperion.Store.get store "wal/only-2");
   (* a contradicting explicit dictionary is refused *)
   let other =
     Compress.Dict (Compress.train (Seq.init 300 (Printf.sprintf "no-%d")))
@@ -311,7 +314,7 @@ let test_persist_adopts_dict () =
       Alcotest.fail "contradicting dictionary must not open");
   rm_rf dir
 
-(* The sharded front door is transparent: raw keys in, raw keys out, with
+(* The sharded front end is transparent: raw keys in, raw keys out, with
    encoded bytes underneath and the dictionary adopted on reopen. *)
 let test_shard_transparency () =
   let dir = fresh_dir () in
@@ -334,14 +337,13 @@ let test_shard_transparency () =
   Alcotest.(check (list string)) "iter decodes"
     (Array.to_list (Array.sub keys 0 299))
     (List.rev !got);
-  (* below the boundary the stores hold encoded bytes *)
+  (* beneath the store interface the keys are stored encoded *)
   Hyperion_shard.with_quiesced t (fun stores ->
       let raw_hits = ref 0 in
       Array.iter
         (fun s ->
-          Array.iter
-            (fun k -> if Hyperion.Store.mem s k then incr raw_hits)
-            keys)
+          Hyperion.Store.Stored.iter s (fun k _ ->
+              if Array.mem (k :> string) keys then incr raw_hits))
         stores;
       Alcotest.(check int) "raw keys are not stored verbatim" 0 !raw_hits);
   ok "close" (Hyperion_shard.close t);
@@ -354,19 +356,111 @@ let test_shard_transparency () =
   ok "close" (Hyperion_shard.close t2);
   rm_rf dir
 
-(* Differential chaos smoke with the encoder armed: store sees encoded
-   keys, oracle raw ones, final sweep decodes — any asymmetry diverges. *)
+(* Differential chaos smoke with the codec armed: the store encodes
+   beneath its interface, the oracle holds raw keys, and the final sweep
+   decodes — any asymmetry diverges. *)
 let test_chaos_compress () =
-  let chaos_enc =
-    Compress.Dict (Compress.train (Seq.init 4096 Chaos.key_for))
-  in
   match
     Chaos.run
       ~config:{ Hyperion.Config.default with compress = 1 }
-      ~compress:chaos_enc ~seed:42L ~ops:5000 ()
+      ~seed:42L ~ops:5000 ()
   with
   | Ok o -> Alcotest.(check bool) "keys stored" true (o.Chaos.final_keys > 0)
   | Error msg -> Alcotest.fail msg
+
+(* Every entry point rejects the same keys: for each codec and key, the
+   typed doors (Store result API, Persist, shard results and Batch) return
+   exactly the validation error [Store.Stored.of_key] gives, and the read
+   doors raise [Invalid_argument] exactly when it rejects. *)
+let test_same_keys_everywhere () =
+  let codecs =
+    [
+      ("identity", cfg_id, Compress.Identity);
+      ("preprocess", { cfg_id with preprocess = true }, Compress.Identity);
+      ("dict", cfg_dict, enc);
+    ]
+  in
+  let keys =
+    [
+      ("empty", "");
+      ("3 bytes", "abc");
+      ("2^20 rare", String.make (1 lsl 20) '\xfe');
+      ("2^20+1", String.make ((1 lsl 20) + 1) 'k');
+    ]
+  in
+  let is_validation = function
+    | E.Empty_key | E.Key_too_long _ | E.Key_too_short _ -> true
+    | _ -> false
+  in
+  List.iter
+    (fun (cname, config, codec) ->
+      let store = Hyperion.Store.create ~config ~compress:codec () in
+      let dir = fresh_dir () in
+      let p = ok "open" (Persist.open_or_create ~config ~compress:codec dir) in
+      let sh = Hyperion_shard.create ~config ~compress:codec ~shards:2 () in
+      List.iter
+        (fun (kname, key) ->
+          let expect =
+            match Hyperion.Store.Stored.of_key store key with
+            | Ok _ -> None
+            | Error e -> Some e
+          in
+          let where door = Printf.sprintf "%s/%s/%s" cname kname door in
+          let too_long = function Some (E.Key_too_long n) -> n > 1 lsl 20 | _ -> false in
+          Alcotest.(check bool) (where "of_key") true
+            (match (kname, cname) with
+            | "empty", _ -> expect = Some E.Empty_key
+            | "3 bytes", "preprocess" -> expect = Some (E.Key_too_short 3)
+            | "3 bytes", _ | "2^20 rare", "identity" -> expect = None
+            | _ -> too_long expect);
+          let typed door r =
+            match (r, expect) with
+            | Error e, Some e' when e = e' -> ()
+            | Error e, None when not (is_validation e) -> ()
+            | Ok _, None -> ()
+            | Error e, _ -> Alcotest.failf "%s: got %s" (where door) (E.to_string e)
+            | Ok _, Some e' ->
+                Alcotest.failf "%s: accepted, expected %s" (where door)
+                  (E.to_string e')
+          in
+          let unit r = Result.map ignore r in
+          (* inserting an accepted 2^20-byte key takes the trie minutes,
+             so accepted long keys go through the delete doors only *)
+          if expect <> None || String.length key < 4096 then begin
+            typed "Store.put_result" (Hyperion.Store.put_result store key 1L);
+            typed "Store.add_result" (Hyperion.Store.add_result store key);
+            typed "Persist.put" (Persist.put p key 1L);
+            typed "shard put_result" (Hyperion_shard.put_result sh key 1L)
+          end;
+          typed "Store.delete_result" (unit (Hyperion.Store.delete_result store key));
+          typed "Persist.delete" (unit (Persist.delete p key));
+          typed "shard delete_result"
+            (unit (Hyperion_shard.delete_result sh key));
+          let b = Hyperion_shard.Batch.create sh in
+          Hyperion_shard.Batch.delete b key;
+          Hyperion_shard.Batch.put b "okay-key" 2L;
+          typed "Batch.flush" (unit (Hyperion_shard.Batch.flush b));
+          let read door f =
+            match (f (), expect) with
+            | _, None -> ()
+            | _, Some e ->
+                Alcotest.failf "%s: did not raise on %s" (where door)
+                  (E.to_string e)
+            | exception Invalid_argument _ when expect <> None -> ()
+          in
+          read "Store.get" (fun () -> ignore (Hyperion.Store.get store key));
+          read "Store.mem" (fun () -> ignore (Hyperion.Store.mem store key));
+          read "Store.get_many" (fun () ->
+              ignore (Hyperion.Store.get_many store [| "okay-key"; key |]));
+          read "shard get" (fun () -> ignore (Hyperion_shard.get sh key));
+          read "shard mem" (fun () -> ignore (Hyperion_shard.mem sh key));
+          read "shard get_many" (fun () ->
+              ignore (Hyperion_shard.get_many sh [| "okay-key"; key |])))
+        keys;
+      ok "close" (Hyperion_shard.close sh);
+      ok "close" (Persist.close p);
+      rm_rf dir)
+    codecs
 
 let () =
   Alcotest.run "compress"
@@ -404,5 +498,7 @@ let () =
         [
           Alcotest.test_case "shard transparency" `Quick test_shard_transparency;
           Alcotest.test_case "chaos with encoder" `Quick test_chaos_compress;
+          Alcotest.test_case "every door rejects the same keys" `Quick
+            test_same_keys_everywhere;
         ] );
     ]

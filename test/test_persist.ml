@@ -110,7 +110,7 @@ let test_snapshot_roundtrip () =
   let path = fresh_file () in
   let bytes = ok "save" (Persist.save_snapshot s path) in
   Alcotest.(check bool) "snapshot non-trivial" true (bytes > 32);
-  let s2, _enc = ok "load" (Persist.Snapshot.load ~config:cfg path) in
+  let s2 = ok "load" (Persist.Snapshot.load ~config:cfg path) in
   Alcotest.(check int) "length preserved" (S.length s) (S.length s2);
   Alcotest.(check bool) "bindings preserved" true (dump s = dump s2);
   Alcotest.(check (option int64)) "valueless stays valueless" None
@@ -124,7 +124,7 @@ let test_snapshot_empty_store () =
   let s = S.create ~config:cfg () in
   let path = fresh_file () in
   ignore (ok "save" (Persist.save_snapshot s path));
-  let s2, _enc = ok "load" (Persist.Snapshot.load ~config:cfg path) in
+  let s2 = ok "load" (Persist.Snapshot.load ~config:cfg path) in
   Alcotest.(check int) "empty round-trip" 0 (S.length s2);
   Sys.remove path
 
@@ -338,7 +338,7 @@ let roundtrip_prop config keys =
     | Ok _ -> (
         match Persist.Snapshot.load ~config path with
         | Error e -> Alcotest.failf "load: %s" (E.to_string e)
-        | Ok (s, _enc) -> s)
+        | Ok s -> s)
   in
   Sys.remove path;
   let after = sequences reloaded in
@@ -463,6 +463,34 @@ let test_store_reject_compensates_wal () =
     (S.get s "alsogood");
   ok "close2" (Persist.close p2)
 
+(* A key too short for §3.4 pre-processing is refused with a typed error
+   before anything is logged: after a crash the directory reopens with
+   every acknowledged key. *)
+let test_short_key_never_logged () =
+  let dir = fresh_dir () in
+  let p = ok "open" (Persist.open_or_create ~config:cfg_pre dir) in
+  ok "put" (Persist.put p "good-key" 1L);
+  (match Persist.put p "ab" 1L with
+  | Error (E.Key_too_short 2) -> ()
+  | Error e -> Alcotest.failf "wrong error: %s" (E.to_string e)
+  | Ok () -> Alcotest.fail "short key accepted");
+  expect_error "add" (Persist.add p "abc") (function
+    | E.Key_too_short 3 -> true
+    | _ -> false);
+  expect_error "delete" (Persist.delete p "a") (function
+    | E.Key_too_short 1 -> true
+    | _ -> false);
+  ok "put after" (Persist.put p "later-key" 2L);
+  Alcotest.(check int) "only accepted mutations logged" 2 (Persist.applied_ops p);
+  ok "sync" (Persist.sync p);
+  Persist.crash p;
+  let p2 = ok "reopen" (Persist.open_or_create ~config:cfg_pre dir) in
+  Alcotest.(check int) "replayed" 2 (Persist.recovery p2).Persist.replayed_ops;
+  Alcotest.(check (list (pair string (option int64)))) "bindings"
+    [ ("good-key", Some 1L); ("later-key", Some 2L) ]
+    (dump (Persist.store p2));
+  ok "close" (Persist.close p2)
+
 (* --- crash-recovery chaos sweep (acceptance: CI runs 100 seeds) ------ *)
 
 let test_crash_chaos_sweep () =
@@ -533,6 +561,8 @@ let () =
             test_fsync_failure_acks_but_degrades;
           Alcotest.test_case "store reject compensates the WAL" `Quick
             test_store_reject_compensates_wal;
+          Alcotest.test_case "short key is never logged" `Quick
+            test_short_key_never_logged;
         ] );
       ( "crash-chaos",
         [

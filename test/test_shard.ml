@@ -83,6 +83,25 @@ let test_empty_key () =
       | Error e -> Alcotest.fail ("wrong error: " ^ E.to_string e)
       | Ok () -> Alcotest.fail "empty key accepted")
 
+(* On a pre-processing store a short key is a typed rejection from the
+   owning worker, which stays up. *)
+let test_short_key_typed () =
+  let t =
+    Sh.create ~config:{ cfg with Hyperion.Config.preprocess = true } ~shards:2 ()
+  in
+  Fun.protect ~finally:(fun () -> ignore (Sh.close t)) (fun () ->
+      (match Sh.put_result t "ab" 1L with
+      | Error (E.Key_too_short 2) -> ()
+      | Error e -> Alcotest.fail ("wrong error: " ^ E.to_string e)
+      | Ok () -> Alcotest.fail "short key accepted");
+      List.iter
+        (fun h ->
+          Alcotest.(check (option string)) "no shard down" None h.Sh.hs_down)
+        (Sh.health t);
+      Sh.put t "abcd" 7L;
+      Alcotest.(check (option int64)) "worker still applies" (Some 7L)
+        (Sh.get t "abcd"))
+
 let test_iter_global_order () =
   with_store (fun t ->
       for b = 255 downto 0 do
@@ -440,6 +459,7 @@ let () =
         [
           Alcotest.test_case "blocking round-trips" `Quick test_blocking_ops;
           Alcotest.test_case "empty key" `Quick test_empty_key;
+          Alcotest.test_case "short key is typed" `Quick test_short_key_typed;
           Alcotest.test_case "iter global order" `Quick test_iter_global_order;
           Alcotest.test_case "batch" `Quick test_batch;
           Alcotest.test_case "async completions" `Quick test_async_completions;
