@@ -23,9 +23,11 @@ let fingerprint config codec =
 
 (* flags bit 0 = preprocess, bits 1-2 = codec scheme id *)
 let store_header ~magic ~version ~aux store =
-  let config = Hyperion.Store.config store and codec = Hyperion.Store.codec store in
+  let config = Hyperion.Store.config store in
+  let codec = Hyperion.Store.codec store in
+  let preprocess = if config.Hyperion.Config.preprocess then 1 else 0 in
   make_header ~magic ~version
-    ~flags:((if config.Hyperion.Config.preprocess then 1 else 0) lor (Compress.id codec lsl 1))
+    ~flags:(preprocess lor (Compress.id codec lsl 1))
     ~fingerprint:(fingerprint config codec) ~aux
 
 let parse_header ~magic b =
